@@ -165,10 +165,10 @@ func figure6Bench(b *testing.B, id tech.ScenarioID, quality noc.Quality, bench s
 	if cyclesSaved > 0 {
 		metrics["cycles_saved"] = float64(cyclesSaved) / float64(b.N)
 	}
-	// Build amortization of the batched engine: replica instantiations
-	// per full topology build. 1.0 would mean every run paid a build
-	// (the pre-batching behavior); the saturation searches and grouped
-	// load sweeps push it well above 2.
+	// Build amortization of shape sharing: replica instantiations per
+	// full topology build. 1.0 would mean every run paid a build; the
+	// saturation searches and the runner's shape memo push it well
+	// above 2.
 	if shapes := c1.ShapeBuilds - c0.ShapeBuilds; shapes > 0 {
 		ratio := float64(c1.SimBuilds-c0.SimBuilds) / float64(shapes)
 		b.ReportMetric(ratio, "build_x")
@@ -187,17 +187,6 @@ func BenchmarkFigure6a(b *testing.B) { figure6Bench(b, tech.ScenarioA, noc.Quick
 // comparable.
 func BenchmarkFigure6aAdaptive(b *testing.B) {
 	figure6Bench(b, tech.ScenarioA, noc.Adaptive, "Figure6aAdaptive")
-}
-
-// BenchmarkFigure6aBatched: Figure 6a through the batched engine —
-// the same fixed-tier panel as BenchmarkFigure6a, recorded under its
-// own trajectory name so the build-amortization ratio (`build_x`,
-// replica instantiations per topology build) has a guarded history.
-// The headline metrics (shg_sat_%, shg_zl_cy, shg_ovh_%) must match
-// BenchmarkFigure6a's exactly: batching changes scheduling, never
-// results.
-func BenchmarkFigure6aBatched(b *testing.B) {
-	figure6Bench(b, tech.ScenarioA, noc.Quick, "Figure6aBatched")
 }
 
 // BenchmarkFigure6b: 64 tiles, 70 MGE, 2 cores each.

@@ -2,11 +2,16 @@ package exp
 
 // Tests for the concurrent-batch features behind the campaign
 // service: context cancellation, the shared evaluation-slot pool,
-// and in-flight job sharing across overlapping Run calls.
+// in-flight job sharing across overlapping Run calls, and per-job
+// panic containment.
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"log/slog"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -181,4 +186,106 @@ func TestAbandonedFlightReclaimed(t *testing.T) {
 	if got := count.Load(); got != 3 {
 		t.Errorf("evaluations = %d, want 3 (job 0 once in A, jobs 1-2 reclaimed by B)", got)
 	}
+}
+
+// TestGroupCachePeel: members of a batch already in the cache are
+// peeled off before evaluation, so only the rest reach Eval.
+func TestGroupCachePeel(t *testing.T) {
+	var evals atomic.Int64
+	r := &Runner{Workers: 4, Cache: NewCache(), Eval: fakeEval(&evals)}
+	jobs := threeJobs()
+	if _, _, err := r.Run(jobs[:2]); err != nil {
+		t.Fatal(err)
+	}
+	e0 := evals.Load()
+
+	_, rep, err := r.Run(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.CacheHits != 2 || rep.Computed != 1 {
+		t.Errorf("report = %+v, want 2 cached / 1 computed", rep)
+	}
+	if e := evals.Load() - e0; e != 1 {
+		t.Errorf("Eval calls = %d, want 1", e)
+	}
+}
+
+// TestEvalPanicContained pins per-job panic containment: one job whose
+// Eval panics fails alone — with the panic value in its error, its
+// stack logged, and the panic counted — while its sibling jobs and a
+// concurrent batch run to completion (under the race detector in CI).
+func TestEvalPanicContained(t *testing.T) {
+	var logBuf syncBuffer
+	r := &Runner{
+		Workers: 2,
+		Log:     slog.New(slog.NewTextHandler(&logBuf, nil)),
+		Eval: func(j Job) (*Result, error) {
+			if j.Topo == "bomb" {
+				panic("flit ring overflow")
+			}
+			return fakeEval(nil)(j)
+		},
+	}
+	batchA := append(threeJobs(), Job{Mode: ModeLoad, Scenario: "a", Topo: "bomb", Load: 0.5})
+	batchB := []Job{
+		{Mode: ModeLoad, Scenario: "b", Topo: "torus", Load: 0.1},
+		{Mode: ModeLoad, Scenario: "b", Topo: "torus", Load: 0.2},
+	}
+
+	type outcome struct {
+		results []*Result
+		rep     Report
+		err     error
+	}
+	outB := make(chan outcome, 1)
+	go func() {
+		results, rep, err := r.Run(batchB)
+		outB <- outcome{results, rep, err}
+	}()
+	gotA, repA, errA := r.Run(batchA)
+	b := <-outB
+
+	if errA == nil || !strings.Contains(errA.Error(), "flit ring overflow") {
+		t.Fatalf("batch A error = %v, want the panic value", errA)
+	}
+	if repA.Failed != 1 || repA.Computed != 3 {
+		t.Errorf("batch A report = %+v, want 1 failed / 3 computed", repA)
+	}
+	for i, res := range gotA[:3] {
+		if res == nil {
+			t.Errorf("sibling job %d has no result", i)
+		}
+	}
+	if gotA[3] != nil {
+		t.Errorf("panicking job produced a result: %+v", gotA[3])
+	}
+	if b.err != nil || b.rep.Computed != len(batchB) {
+		t.Errorf("concurrent batch: err=%v report=%+v, want all computed", b.err, b.rep)
+	}
+	if p := r.Stats().Panics; p != 1 {
+		t.Errorf("panics counted = %d, want 1", p)
+	}
+	if log := logBuf.String(); !strings.Contains(log, "job panicked") || !strings.Contains(log, "goroutine") {
+		t.Errorf("log lacks the panic and its stack:\n%s", log)
+	}
+}
+
+// syncBuffer is a bytes.Buffer safe for the runner's concurrent log
+// writes.
+type syncBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (s *syncBuffer) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.Write(p)
+}
+
+func (s *syncBuffer) String() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.String()
 }

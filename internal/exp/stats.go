@@ -14,9 +14,7 @@ type runnerStats struct {
 	failed   atomic.Int64
 
 	busyNanos atomic.Int64 // summed evaluation time across workers
-
-	groups      atomic.Int64 // multi-job EvalGroup dispatches completed
-	groupedJobs atomic.Int64 // jobs answered by those dispatches
+	panics    atomic.Int64 // evaluations that panicked
 
 	inFlight atomic.Int64 // evaluation slots currently held
 	waiting  atomic.Int64 // goroutines blocked waiting for a slot
@@ -42,13 +40,9 @@ type RunnerStats struct {
 	// pool utilization.
 	BusyNanos int64
 
-	// Groups counts completed multi-job EvalGroup dispatches and
-	// GroupedJobs the jobs they answered (jobs per group =
-	// GroupedJobs/Groups — the batching amortization at the runner
-	// level). Jobs dispatched alone, answered from the cache, or
-	// evaluated by the per-job fallback are not counted.
-	Groups      int64
-	GroupedJobs int64
+	// Panics counts evaluations whose Eval panicked; each failed only
+	// its own job (see Runner.Eval).
+	Panics int64
 
 	// InFlight is the number of evaluation slots currently held
 	// (including slots borrowed through TryAcquire); Waiting is the
@@ -65,17 +59,16 @@ type RunnerStats struct {
 // scraping.
 func (r *Runner) Stats() RunnerStats {
 	return RunnerStats{
-		Batches:     r.stats.batches.Load(),
-		Jobs:        r.stats.jobs.Load(),
-		Computed:    r.stats.computed.Load(),
-		Cached:      r.stats.cached.Load(),
-		Shared:      r.stats.shared.Load(),
-		Failed:      r.stats.failed.Load(),
-		BusyNanos:   r.stats.busyNanos.Load(),
-		Groups:      r.stats.groups.Load(),
-		GroupedJobs: r.stats.groupedJobs.Load(),
-		InFlight:    r.stats.inFlight.Load(),
-		Waiting:     r.stats.waiting.Load(),
-		Workers:     r.effectiveWorkers(),
+		Batches:   r.stats.batches.Load(),
+		Jobs:      r.stats.jobs.Load(),
+		Computed:  r.stats.computed.Load(),
+		Cached:    r.stats.cached.Load(),
+		Shared:    r.stats.shared.Load(),
+		Failed:    r.stats.failed.Load(),
+		BusyNanos: r.stats.busyNanos.Load(),
+		Panics:    r.stats.panics.Load(),
+		InFlight:  r.stats.inFlight.Load(),
+		Waiting:   r.stats.waiting.Load(),
+		Workers:   r.effectiveWorkers(),
 	}
 }

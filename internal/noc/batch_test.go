@@ -1,16 +1,18 @@
 package noc
 
 import (
-	"reflect"
+	"encoding/json"
 	"strings"
+	"sync"
 	"testing"
 
 	"sparsehamming/internal/exp"
+	"sparsehamming/internal/obs"
+	"sparsehamming/internal/sim"
 )
 
-// loadLadder is a mixed load sweep on one topology — one group under
-// LoadGroupKey, with pattern, load, seed, and quality varying per
-// point.
+// loadLadder is a mixed load sweep on one topology — one shape-memo
+// entry, with pattern, load, seed, and quality varying per point.
 func loadLadder() []exp.Job {
 	return []exp.Job{
 		{Mode: exp.ModeLoad, Scenario: "a", Rows: 4, Cols: 4, Topo: "mesh", Load: 0.05, Seed: 1},
@@ -20,111 +22,117 @@ func loadLadder() []exp.Job {
 	}
 }
 
-// TestGroupedLoadEvalMatchesPerJob is the noc-level parity contract:
-// a load ladder evaluated through one sim.Batch produces bit-identical
-// results — SimCycles included — to the per-job evalLoadPoint path.
-func TestGroupedLoadEvalMatchesPerJob(t *testing.T) {
-	jobs := loadLadder()
-
-	want := make([]*exp.Result, len(jobs))
+// freshResults evaluates every job through EvalJob, which builds each
+// one afresh — the oracle for the runner's shape memo.
+func freshResults(t *testing.T, jobs []exp.Job) []*exp.Result {
+	t.Helper()
+	out := make([]*exp.Result, len(jobs))
 	for i, j := range jobs {
 		res, err := EvalJob(j)
 		if err != nil {
 			t.Fatalf("EvalJob(%v): %v", j, err)
 		}
-		want[i] = res
+		out[i] = res
 	}
+	return out
+}
 
-	got, err := evalLoadGroup(jobs, nil)
-	if err != nil {
-		t.Fatalf("evalLoadGroup: %v", err)
-	}
+// assertSameBytes fails unless got and want serialize to the same
+// bytes — the form results are cached and rendered in.
+func assertSameBytes(t *testing.T, jobs []exp.Job, got, want []*exp.Result) {
+	t.Helper()
 	for i := range jobs {
-		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Errorf("job %v:\ngrouped %+v\nper-job %+v", jobs[i], got[i], want[i])
+		g, err := json.Marshal(got[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := json.Marshal(want[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(g) != string(w) {
+			t.Errorf("job %v:\nmemo  %s\nfresh %s", jobs[i], g, w)
 		}
 	}
 }
 
-// TestLoadGroupKey pins what the group key does and does not
-// distinguish: load points of one sweep share a key, other modes and
-// other topologies or architectures never join the group.
+// TestGroupedLoadEvalMatchesPerJob is the noc-level parity contract:
+// a load ladder evaluated through the observed runner — its points
+// sharing one memoized Shape — produces byte-identical results,
+// SimCycles included, to per-job EvalJob builds.
+func TestGroupedLoadEvalMatchesPerJob(t *testing.T) {
+	jobs := loadLadder()
+	want := freshResults(t, jobs)
+	got, _, err := NewObservedRunner(2, nil, obs.NewHub()).Run(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameBytes(t, jobs, got, want)
+}
+
+// TestLoadGroupKey pins what the memo key does and does not
+// distinguish: the points of a load sweep — and predict jobs on the
+// same topology — share a key, other topologies, routings, or
+// architectures never do.
 func TestLoadGroupKey(t *testing.T) {
 	jobs := loadLadder()
-	k0, ok := LoadGroupKey(jobs[0])
-	if !ok {
-		t.Fatal("load job not groupable")
-	}
+	k0 := shapeKey(jobs[0])
 	for _, j := range jobs[1:] {
-		k, ok := LoadGroupKey(j)
-		if !ok || k != k0 {
+		if k := shapeKey(j); k != k0 {
 			t.Errorf("ladder job %v got key %q, want %q", j, k, k0)
 		}
 	}
-
-	if _, ok := LoadGroupKey(exp.Job{Mode: exp.ModePredict, Scenario: "a", Rows: 4, Cols: 4, Topo: "mesh"}); ok {
-		t.Error("predict job was groupable")
-	}
-	if _, ok := LoadGroupKey(exp.Job{Mode: exp.ModeCost, Scenario: "a", Rows: 4, Cols: 4, Topo: "mesh"}); ok {
-		t.Error("cost job was groupable")
+	pj := exp.Job{Mode: exp.ModePredict, Scenario: "a", Rows: 4, Cols: 4, Topo: "mesh", Quality: "full"}
+	if k := shapeKey(pj); k != k0 {
+		t.Errorf("predict job on the ladder's topology got key %q, want %q", k, k0)
 	}
 
 	j := jobs[0]
 	j.Topo = "torus"
-	if k, _ := LoadGroupKey(j); k == k0 {
-		t.Error("different topology shares a group key")
+	if shapeKey(j) == k0 {
+		t.Error("different topology shares a memo key")
 	}
 	j = jobs[0]
 	j.Routing = "hop-minimal"
-	if k, _ := LoadGroupKey(j); k == k0 {
-		t.Error("different routing shares a group key")
+	if shapeKey(j) == k0 {
+		t.Error("different routing shares a memo key")
 	}
 	j = jobs[0]
 	j.Arch = &exp.ArchOverride{NumVCs: 8}
-	if k, _ := LoadGroupKey(j); k == k0 {
-		t.Error("different architecture override shares a group key")
+	if shapeKey(j) == k0 {
+		t.Error("different architecture override shares a memo key")
 	}
 }
 
 // TestRunnerGroupsLoadSweep checks the wiring end to end: a campaign
-// of load points dispatches as one group (visible in the runner
-// stats) and its results match the per-job evaluator.
+// of load points builds its topology once (visible in the simulator's
+// build counters) and its results match the per-job evaluator.
 func TestRunnerGroupsLoadSweep(t *testing.T) {
 	jobs := loadLadder()
+	want := freshResults(t, jobs)
 	r := NewRunner(4, nil)
-	before := r.Stats()
+	before := sim.Counters()
 	got, rep, err := r.Run(jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := r.Stats()
+	after := sim.Counters()
 	if rep.Computed != len(jobs) {
 		t.Errorf("report = %+v, want %d computed", rep, len(jobs))
 	}
-	if d := after.Groups - before.Groups; d != 1 {
-		t.Errorf("group dispatches: got %d, want 1", d)
+	if d := after.ShapeBuilds - before.ShapeBuilds; d != 1 {
+		t.Errorf("shape builds: got %d, want 1", d)
 	}
-	if d := after.GroupedJobs - before.GroupedJobs; d != int64(len(jobs)) {
-		t.Errorf("grouped jobs: got %d, want %d", d, len(jobs))
+	if d := after.SimBuilds - before.SimBuilds; d != int64(len(jobs)) {
+		t.Errorf("replica builds: got %d, want %d", d, len(jobs))
 	}
-
-	for i, j := range jobs {
-		want, err := EvalJob(j)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got[i], want) {
-			t.Errorf("job %v:\nrunner  %+v\nper-job %+v", j, got[i], want)
-		}
-	}
+	assertSameBytes(t, jobs, got, want)
 }
 
 // TestGroupFallbackOnBadMember: when one point of a ladder cannot be
-// evaluated (here: an unknown traffic pattern), the whole-group
-// dispatch fails and the runner re-evaluates every member through the
-// per-job path — so the good points still succeed with their usual
-// results and only the bad one fails, exactly as an ungrouped
-// campaign would behave.
+// evaluated (here: an unknown traffic pattern), only that point fails
+// — the memo shares builds, never failures — and the good points
+// keep their usual results.
 func TestGroupFallbackOnBadMember(t *testing.T) {
 	jobs := loadLadder()
 	bad := jobs[0]
@@ -132,30 +140,57 @@ func TestGroupFallbackOnBadMember(t *testing.T) {
 	bad.Pattern = "tornado" // not a registered pattern
 	jobs = append(jobs, bad)
 
-	r := NewRunner(4, nil)
-	before := r.Stats()
-	got, rep, err := r.Run(jobs)
+	got, rep, err := NewRunner(4, nil).Run(jobs)
 	if err == nil || !strings.Contains(err.Error(), "tornado") {
 		t.Fatalf("Run error = %v, want pattern failure", err)
 	}
-	after := r.Stats()
 	if rep.Failed != 1 || rep.Computed != len(jobs)-1 {
 		t.Errorf("report = %+v, want 1 failed / %d computed", rep, len(jobs)-1)
-	}
-	// The failed dispatch must not count as a completed group.
-	if d := after.Groups - before.Groups; d != 0 {
-		t.Errorf("group dispatches: got %d, want 0 (fallback)", d)
 	}
 	if got[len(jobs)-1] != nil {
 		t.Errorf("bad job produced a result: %+v", got[len(jobs)-1])
 	}
-	for i, j := range jobs[:len(jobs)-1] {
-		want, err := EvalJob(j)
+	good := jobs[:len(jobs)-1]
+	assertSameBytes(t, good, got[:len(good)], freshResults(t, good))
+}
+
+// TestShapeMemoSingleBuild pins the memo's concurrency and bound
+// contracts (under the race detector in CI): eight goroutines
+// evaluating jobs of one key build its Shape exactly once, and
+// however many keys pass through, the memo never holds more than
+// shapeMemoCap builds.
+func TestShapeMemoSingleBuild(t *testing.T) {
+	memo := newShapeMemo()
+	before := sim.Counters()
+	var wg sync.WaitGroup
+	errs := make([]error, 8)
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			j := exp.Job{Mode: exp.ModeLoad, Scenario: "a", Rows: 4, Cols: 4, Topo: "torus",
+				Load: 0.05 * float64(i+1), Seed: int64(i + 1)}
+			_, errs[i] = evalJobSched(j, nil, nil, memo)
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("job %d: %v", i, err)
 		}
-		if !reflect.DeepEqual(got[i], want) {
-			t.Errorf("job %v:\nfallback %+v\nper-job  %+v", j, got[i], want)
+	}
+	if d := sim.Counters().ShapeBuilds - before.ShapeBuilds; d != 1 {
+		t.Errorf("shape builds: got %d, want 1", d)
+	}
+
+	for buf := 1; buf <= shapeMemoCap+4; buf++ {
+		j := exp.Job{Mode: exp.ModeLoad, Scenario: "a", Rows: 4, Cols: 4, Topo: "mesh",
+			Arch: &exp.ArchOverride{BufDepthFlits: buf}}
+		if _, _, err := memo.get(j, nil); err != nil {
+			t.Fatalf("buffer depth %d: %v", buf, err)
+		}
+		if n := len(memo.entries); n > shapeMemoCap {
+			t.Fatalf("memo holds %d builds, cap is %d", n, shapeMemoCap)
 		}
 	}
 }

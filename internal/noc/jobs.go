@@ -12,7 +12,6 @@ import (
 	"sparsehamming/internal/dse"
 	"sparsehamming/internal/exp"
 	"sparsehamming/internal/obs"
-	"sparsehamming/internal/phys"
 	"sparsehamming/internal/route"
 	"sparsehamming/internal/sim"
 	"sparsehamming/internal/spec"
@@ -84,18 +83,22 @@ func (s runnerSched) TryGo(fn func()) bool {
 // EvalJob executes one experiment job with the prediction toolchain.
 // It is pure in the job spec — the architecture, topology, routing,
 // traffic, and seed all come from the spec — which is what makes
-// parallel campaigns deterministic and cached results sound.
+// parallel campaigns deterministic and cached results sound. It
+// builds every job afresh, so it doubles as the oracle the runner's
+// shape memo is checked against.
 func EvalJob(j exp.Job) (*exp.Result, error) {
-	return evalJobSched(j, nil, nil)
+	return evalJobSched(j, nil, nil, nil)
 }
 
 // evalJobSched is EvalJob with an optional probe scheduler for
 // adaptive-tier speculative probes (NewRunner wires the runner's slot
-// pool; a nil scheduler runs every probe sequentially) and an
-// optional trace span (NewObservedRunner records one tree per job).
-// Neither changes results — only wall-clock and observability — so
-// all entry points produce identical, cache-sound outputs.
-func evalJobSched(j exp.Job, sched sim.ProbeScheduler, span *obs.Span) (*exp.Result, error) {
+// pool; a nil scheduler runs every probe sequentially), an optional
+// trace span (NewObservedRunner records one tree per job), and an
+// optional shape memo sharing builds and zero-load anchors across
+// jobs (nil builds afresh). None of them changes results — only
+// wall-clock and observability — so all entry points produce
+// identical, cache-sound outputs.
+func evalJobSched(j exp.Job, sched sim.ProbeScheduler, span *obs.Span, memo *shapeMemo) (*exp.Result, error) {
 	if j.Mode == exp.ModeSurrogate {
 		// The surrogate evaluator is simulation-free and shared with the
 		// design-space explorer (package dse owns it); delegating keeps
@@ -106,20 +109,20 @@ func evalJobSched(j exp.Job, sched sim.ProbeScheduler, span *obs.Span) (*exp.Res
 		cs.End()
 		return res, err
 	}
-	arch, err := ArchForJob(j)
-	if err != nil {
-		return nil, err
-	}
-	t, err := topo.ByName(j.Topo, arch.Rows, arch.Cols, j.SR, j.SC)
-	if err != nil {
-		return nil, err
-	}
 	quality, err := QualityByName(j.Quality)
 	if err != nil {
 		return nil, err
 	}
 	switch j.Mode {
 	case exp.ModeCost:
+		arch, err := ArchForJob(j)
+		if err != nil {
+			return nil, err
+		}
+		t, err := topo.ByName(j.Topo, arch.Rows, arch.Cols, j.SR, j.SC)
+		if err != nil {
+			return nil, err
+		}
 		cs := span.Child("cost")
 		pred, _, err := PredictCostOnly(arch, t)
 		cs.End()
@@ -128,13 +131,23 @@ func evalJobSched(j exp.Job, sched sim.ProbeScheduler, span *obs.Span) (*exp.Res
 		}
 		return resultFromPrediction(pred, j), nil
 	case exp.ModePredict:
-		pred, err := predictSeeded(arch, t, j.Routing, j.Pattern, quality, j.EffectiveSeed(), sched, span)
+		b, e, err := memo.get(j, span)
+		if err != nil {
+			return nil, err
+		}
+		_, measure := quality.simWindows()
+		anchor := e.anchor(j.Pattern, j.EffectiveSeed(), measure)
+		pred, err := predictShaped(b, j.Pattern, quality, j.EffectiveSeed(), anchor, sched, span)
 		if err != nil {
 			return nil, err
 		}
 		return resultFromPrediction(pred, j), nil
 	case exp.ModeLoad:
-		return evalLoadPoint(arch, t, quality, j, span)
+		b, _, err := memo.get(j, span)
+		if err != nil {
+			return nil, err
+		}
+		return evalLoadPoint(b, quality, j, span)
 	default:
 		return nil, fmt.Errorf("noc: unknown job mode %q", j.Mode)
 	}
@@ -142,33 +155,20 @@ func evalJobSched(j exp.Job, sched sim.ProbeScheduler, span *obs.Span) (*exp.Res
 
 // evalLoadPoint simulates a single offered-load point under the
 // job's traffic pattern.
-func evalLoadPoint(arch *tech.Arch, t *topo.Topology, quality Quality, j exp.Job, span *obs.Span) (*exp.Result, error) {
-	cs := span.Child("cost")
-	cost, err := phys.Evaluate(arch, t)
-	cs.End()
+func evalLoadPoint(b *build, quality Quality, j exp.Job, span *obs.Span) (*exp.Result, error) {
+	pat, err := sim.PatternByName(j.Pattern, b.arch.Rows, b.arch.Cols)
 	if err != nil {
 		return nil, err
 	}
-	rt, err := route.ForName(t, j.Routing)
-	if err != nil {
-		return nil, err
-	}
-	pat, err := sim.PatternByName(j.Pattern, arch.Rows, arch.Cols)
-	if err != nil {
-		return nil, err
-	}
-	warmup, measure := quality.simWindows()
-	curve, err := sim.LoadLatencyCurve(sim.Config{
-		Topo: t, Routing: rt,
-		NumVCs: arch.Proto.NumVCs, BufDepth: arch.Proto.BufDepthFlits,
-		LinkLatency: cost.LinkLatencies, RouterDelay: RouterDelay,
-		PacketLen: packetLen(arch), Pattern: pat, Seed: j.EffectiveSeed(),
-		Warmup: warmup, Measure: measure, Span: span,
-	}, []float64{j.Load})
+	cfg := b.config()
+	cfg.Pattern, cfg.Seed, cfg.Span = pat, j.EffectiveSeed(), span
+	cfg.Warmup, cfg.Measure = quality.simWindows()
+	curve, err := sim.LoadLatencyCurve(b.sh, cfg, []float64{j.Load})
 	if err != nil {
 		return nil, err
 	}
 	st := curve[0]
+	t, rt := b.t, b.rt
 	return &exp.Result{
 		Topology:          t.Kind,
 		Params:            paramsString(j),

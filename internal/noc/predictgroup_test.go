@@ -6,12 +6,13 @@ import (
 	"testing"
 
 	"sparsehamming/internal/exp"
+	"sparsehamming/internal/obs"
 	"sparsehamming/internal/sim"
 )
 
 // predictLadder is a set of predict jobs sharing one topology
-// instance — one group under PredictGroupKey, with quality tier,
-// pattern, and seed varying per job.
+// instance — one shape-memo entry, with quality tier, pattern, and
+// seed varying per job.
 func predictLadder() []exp.Job {
 	return []exp.Job{
 		{Mode: exp.ModePredict, Scenario: "a", Rows: 4, Cols: 4, Topo: "mesh", Seed: 1},
@@ -21,36 +22,23 @@ func predictLadder() []exp.Job {
 }
 
 // TestGroupedPredictEvalMatchesPerJob is the predict-side parity
-// contract: jobs evaluated through one shared Shape produce
-// bit-identical results — SimCycles included — to the per-job
-// predictSeeded path.
+// contract: jobs evaluated through the observed runner's one shared
+// Shape produce byte-identical results — SimCycles included — to
+// per-job EvalJob builds.
 func TestGroupedPredictEvalMatchesPerJob(t *testing.T) {
 	jobs := predictLadder()
-
-	want := make([]*exp.Result, len(jobs))
-	for i, j := range jobs {
-		res, err := EvalJob(j)
-		if err != nil {
-			t.Fatalf("EvalJob(%v): %v", j, err)
-		}
-		want[i] = res
-	}
-
-	got, err := evalPredictGroup(jobs, nil, nil)
+	want := freshResults(t, jobs)
+	got, _, err := NewObservedRunner(2, nil, obs.NewHub()).Run(jobs)
 	if err != nil {
-		t.Fatalf("evalPredictGroup: %v", err)
+		t.Fatal(err)
 	}
-	for i := range jobs {
-		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Errorf("job %v:\ngrouped %+v\nper-job %+v", jobs[i], got[i], want[i])
-		}
-	}
+	assertSameBytes(t, jobs, got, want)
 }
 
 // mixedTierLadder is one topology predicted at every quality tier
 // with the same pattern and seed — the configuration whose zero-load
-// reference runs coincide, so the grouped evaluator shares one anchor
-// across the tiers.
+// reference runs coincide, so the memo entry shares one anchor across
+// the tiers.
 func mixedTierLadder() []exp.Job {
 	return []exp.Job{
 		{Mode: exp.ModePredict, Scenario: "a", Rows: 4, Cols: 4, Topo: "mesh", Seed: 1},
@@ -60,43 +48,32 @@ func mixedTierLadder() []exp.Job {
 }
 
 // TestPredictGroupSharesZeroLoadAnchor pins the cross-tier anchor
-// contract: a mixed-tier group reproduces the per-tier schedules
-// exactly (bit-identical results) while simulating the shared
-// zero-load reference only once — the other tiers reuse the anchor,
-// visible as exactly two fewer simulation runs than the per-job path.
+// contract: a mixed-tier campaign through the runner's shape memo
+// reproduces the per-tier schedules exactly (byte-identical results)
+// while simulating the shared zero-load reference only once — the
+// other tiers reuse the anchor, visible as exactly two fewer
+// simulation runs than the per-job path.
 func TestPredictGroupSharesZeroLoadAnchor(t *testing.T) {
 	jobs := mixedTierLadder()
 
 	before := sim.Counters()
-	want := make([]*exp.Result, len(jobs))
-	for i, j := range jobs {
-		res, err := EvalJob(j)
-		if err != nil {
-			t.Fatalf("EvalJob(%v): %v", j, err)
-		}
-		want[i] = res
-	}
+	want := freshResults(t, jobs)
 	mid := sim.Counters()
-
-	got, err := evalPredictGroup(jobs, nil, nil)
+	got, _, err := NewRunner(0, nil).Run(jobs)
 	if err != nil {
-		t.Fatalf("evalPredictGroup: %v", err)
+		t.Fatal(err)
 	}
 	after := sim.Counters()
 
-	for i := range jobs {
-		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Errorf("job %v:\ngrouped %+v\nper-job %+v", jobs[i], got[i], want[i])
-		}
-	}
+	assertSameBytes(t, jobs, got, want)
 	if d := after.AnchorReuses - mid.AnchorReuses; d != int64(len(jobs)-1) {
-		t.Errorf("grouped evaluation reused the anchor %d times, want %d", d, len(jobs)-1)
+		t.Errorf("memo reused the anchor %d times, want %d", d, len(jobs)-1)
 	}
 	perJob := mid.Runs - before.Runs
-	grouped := after.Runs - mid.Runs
-	if grouped != perJob-int64(len(jobs)-1) {
-		t.Errorf("grouped path ran %d simulations vs %d per-job, want exactly %d fewer",
-			grouped, perJob, len(jobs)-1)
+	memo := after.Runs - mid.Runs
+	if memo != perJob-int64(len(jobs)-1) {
+		t.Errorf("memo path ran %d simulations vs %d per-job, want exactly %d fewer",
+			memo, perJob, len(jobs)-1)
 	}
 }
 
@@ -144,61 +121,30 @@ func TestMixedTierRerunSimulatesNothing(t *testing.T) {
 	}
 }
 
-// TestPredictGroupKey pins the predict group key's equivalence
-// classes, and that CampaignGroupKey unions the load and predict
-// groupings without ever colliding them.
+// TestPredictGroupKey pins the memo key's equivalence classes for
+// predict jobs: tiers, patterns, and seeds of one topology share a
+// key, while the key ignores the job mode entirely — a predict job and
+// a load point on the same topology share one build.
 func TestPredictGroupKey(t *testing.T) {
 	jobs := predictLadder()
-	k0, ok := PredictGroupKey(jobs[0])
-	if !ok {
-		t.Fatal("predict job not groupable")
-	}
+	k0 := shapeKey(jobs[0])
 	for _, j := range jobs[1:] {
-		k, ok := PredictGroupKey(j)
-		if !ok || k != k0 {
+		if k := shapeKey(j); k != k0 {
 			t.Errorf("ladder job %v got key %q, want %q", j, k, k0)
 		}
 	}
-
-	for _, mode := range []exp.Mode{exp.ModeCost, exp.ModeSurrogate, exp.ModeLoad} {
-		if _, ok := PredictGroupKey(exp.Job{Mode: mode, Scenario: "a", Rows: 4, Cols: 4, Topo: "mesh"}); ok {
-			t.Errorf("%s job was predict-groupable", mode)
-		}
-	}
-
-	j := jobs[0]
-	j.Topo = "torus"
-	if k, _ := PredictGroupKey(j); k == k0 {
-		t.Error("different topology shares a group key")
-	}
-	j = jobs[0]
-	j.Routing = "hop-minimal"
-	if k, _ := PredictGroupKey(j); k == k0 {
-		t.Error("different routing shares a group key")
-	}
-	j = jobs[0]
-	j.Arch = &exp.ArchOverride{NumVCs: 8}
-	if k, _ := PredictGroupKey(j); k == k0 {
-		t.Error("different architecture override shares a group key")
-	}
-
-	// The union: predict and load jobs both group, under distinct keys.
-	pk, ok := CampaignGroupKey(jobs[0])
-	if !ok || pk != k0 {
-		t.Errorf("CampaignGroupKey(predict) = %q, %v; want %q", pk, ok, k0)
-	}
 	lj := exp.Job{Mode: exp.ModeLoad, Scenario: "a", Rows: 4, Cols: 4, Topo: "mesh", Load: 0.1}
-	lk, ok := CampaignGroupKey(lj)
-	if !ok {
-		t.Fatal("load job not groupable through CampaignGroupKey")
+	if k := shapeKey(lj); k != k0 {
+		t.Errorf("load job on the same topology got key %q, want %q", k, k0)
 	}
-	if wantLK, _ := LoadGroupKey(lj); lk != wantLK {
-		t.Errorf("CampaignGroupKey(load) = %q, want %q", lk, wantLK)
+	j := jobs[0]
+	j.Rows, j.Cols = 6, 6
+	if shapeKey(j) == k0 {
+		t.Error("different grid shares a memo key")
 	}
-	if lk == k0 {
-		t.Error("load and predict groups collide")
-	}
-	if _, ok := CampaignGroupKey(exp.Job{Mode: exp.ModeSurrogate, Scenario: "a", Rows: 4, Cols: 4, Topo: "mesh"}); ok {
-		t.Error("surrogate job was groupable")
+	j = jobs[0]
+	j.SR = []int{2}
+	if shapeKey(j) == k0 {
+		t.Error("different offsets share a memo key")
 	}
 }

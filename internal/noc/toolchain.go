@@ -12,8 +12,6 @@
 package noc
 
 import (
-	"fmt"
-
 	"sparsehamming/internal/analytic"
 	"sparsehamming/internal/obs"
 	"sparsehamming/internal/phys"
@@ -145,42 +143,29 @@ func PredictWith(arch *tech.Arch, t *topo.Topology, alg route.Algorithm, quality
 
 // predictSeeded runs the toolchain with explicit routing and traffic
 // pattern names (route and sim registries; empty for the co-designed
-// default and uniform random) and an explicit simulation seed; the
-// campaign job evaluator threads all three from the job spec so
-// cached results stay reproducible. sched, when non-nil, lets the
-// adaptive tier's saturation search borrow spare worker slots for
-// speculative probes; span, when non-nil, receives the execution
-// trace (both wall-clock/observability only; never part of the
-// result).
+// default and uniform random) and an explicit simulation seed.
+// sched, when non-nil, lets the adaptive tier's saturation search
+// borrow spare worker slots for speculative probes; span, when
+// non-nil, receives the execution trace (both wall-clock/observability
+// only; never part of the result).
 func predictSeeded(arch *tech.Arch, t *topo.Topology, routing, pattern string, quality Quality, seed int64, sched sim.ProbeScheduler, span *obs.Span) (*Prediction, error) {
-	cs := span.Child("cost")
-	cost, err := phys.Evaluate(arch, t)
-	cs.End()
+	b, err := newBuild(arch, t, routing, span)
 	if err != nil {
 		return nil, err
 	}
-	r, err := route.ForName(t, routing)
-	if err != nil {
-		return nil, err
-	}
-	if arch.Proto.NumVCs < r.NumClasses {
-		return nil, fmt.Errorf("noc: %d VCs cannot host the %d VC classes of %s",
-			arch.Proto.NumVCs, r.NumClasses, r.Name)
-	}
-	return predictShaped(nil, arch, t, cost, r, pattern, quality, seed, nil, sched, span)
+	return predictShaped(b, pattern, quality, seed, nil, sched, span)
 }
 
-// predictShaped is the simulation half of predictSeeded, with the
-// cost model and routing already resolved and an optional pre-built
-// simulator Shape. The grouped predict evaluator resolves those once
-// per topology and calls this per quality tier/seed, sharing the one
-// Shape across all of them; a nil sh falls back to the per-call build
-// inside the saturation search. anchor, when non-nil, shares the
-// zero-load reference run between the quality tiers of one
-// (pattern, seed) — the caller must key anchors as
-// sim.ZeroLoadScheduleKey requires. Results are bit-identical either
-// way.
-func predictShaped(sh *sim.Shape, arch *tech.Arch, t *topo.Topology, cost *phys.Result, r *route.Routing, pattern string, quality Quality, seed int64, anchor *sim.ZeroLoadAnchor, sched sim.ProbeScheduler, span *obs.Span) (*Prediction, error) {
+// predictShaped is the simulation half of predictSeeded over a
+// resolved build, whose Shape serves the zero-load reference run and
+// every saturation probe. The campaign job evaluator threads the
+// pattern, quality, and seed from the job spec so cached results stay
+// reproducible. anchor, when non-nil, shares the zero-load reference
+// run between the searches of one (pattern, seed) — the caller must
+// key anchors as sim.ZeroLoadScheduleKey requires. Results are
+// bit-identical either way.
+func predictShaped(b *build, pattern string, quality Quality, seed int64, anchor *sim.ZeroLoadAnchor, sched sim.ProbeScheduler, span *obs.Span) (*Prediction, error) {
+	t, r, cost := b.t, b.rt, b.cost
 	pat, err := sim.PatternByName(pattern, t.Rows, t.Cols)
 	if err != nil {
 		return nil, err
@@ -188,28 +173,11 @@ func predictShaped(sh *sim.Shape, arch *tech.Arch, t *topo.Topology, cost *phys.
 
 	warmup, measure := quality.simWindows()
 	satSpan := span.Child("saturation")
-	base := sim.Config{
-		Topo:        t,
-		Routing:     r,
-		NumVCs:      arch.Proto.NumVCs,
-		BufDepth:    arch.Proto.BufDepthFlits,
-		LinkLatency: cost.LinkLatencies,
-		RouterDelay: RouterDelay,
-		PacketLen:   packetLen(arch),
-		Pattern:     pat,
-		Seed:        seed,
-		Warmup:      warmup,
-		Measure:     measure,
-		Control:     quality.simControl(),
-		Sched:       sched,
-		Span:        satSpan,
-	}
-	var sat sim.SaturationResult
-	if sh != nil {
-		sat, err = sim.SaturationThroughputAnchored(sh, base, anchor)
-	} else {
-		sat, err = sim.SaturationThroughput(base)
-	}
+	base := b.config()
+	base.Pattern, base.Seed = pat, seed
+	base.Warmup, base.Measure = warmup, measure
+	base.Control, base.Sched, base.Span = quality.simControl(), sched, satSpan
+	sat, err := sim.SaturationThroughputAnchored(b.sh, base, anchor)
 	satSpan.SetAttr("probes", sat.Probes)
 	satSpan.End()
 	if err != nil {

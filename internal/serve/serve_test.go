@@ -18,8 +18,10 @@ import (
 	"time"
 
 	"sparsehamming/internal/exp"
+	"sparsehamming/internal/noc"
 	"sparsehamming/internal/report"
 	"sparsehamming/internal/serve"
+	"sparsehamming/internal/sim"
 	"sparsehamming/internal/spec"
 )
 
@@ -181,6 +183,20 @@ func TestSubmitStatusResults(t *testing.T) {
 	}
 }
 
+// oversizedSpecJSON is a valid load sweep whose cross product (one
+// topology x 400 loads x 400 seeds) exceeds spec.MaxJobs.
+func oversizedSpecJSON() string {
+	loads := make([]string, 400)
+	seeds := make([]string, 400)
+	for i := range loads {
+		loads[i] = fmt.Sprintf("%g", float64(i+1)/400)
+		seeds[i] = fmt.Sprint(i + 1)
+	}
+	return `{"name": "huge", "sweeps": [{"mode": "load", "arch": {"scenario": "a", "rows": 4, "cols": 4},
+		"topologies": [{"kind": "mesh"}], "loads": [` + strings.Join(loads, ",") + `],
+		"seeds": [` + strings.Join(seeds, ",") + `]}]}`
+}
+
 func TestSubmitRejectsBadSpecs(t *testing.T) {
 	_, ts := newTestServer(t, stubEval, 1)
 	cases := []struct {
@@ -191,6 +207,7 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		{`{"name": "x", "sweeps": []}`, http.StatusUnprocessableEntity},
 		{`{"name": "x", "sweeps": [{"arch": {"scenario": "a"}, "topologies": [{"kind": "warp-gate"}]}]}`, http.StatusUnprocessableEntity},
 		{`{"name": "x", "typo_field": 1}`, http.StatusBadRequest},
+		{oversizedSpecJSON(), http.StatusUnprocessableEntity},
 	}
 	for _, c := range cases {
 		resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(c.body))
@@ -347,62 +364,41 @@ func TestConcurrentSameSpecSharesCache(t *testing.T) {
 	}
 }
 
-// TestConcurrentSameSpecSharesCacheBatched is the grouped-dispatch
-// variant of TestConcurrentSameSpecSharesCache: the runner batches
-// the spec's jobs into one EvalGroup dispatch, a second concurrent
-// submission of the same spec still computes zero jobs itself, and
-// both campaigns serve identical results.
+// loadSpecJSON is a small load-mode campaign: four points of one
+// topology, which the toolchain runner serves from one shared build.
+const loadSpecJSON = `{
+ "name": "svc-load",
+ "sweeps": [
+  {"label": "ladder", "mode": "load", "arch": {"scenario": "a", "rows": 4, "cols": 4},
+   "topologies": [{"kind": "mesh"}], "loads": [0.05, 0.1, 0.2, 0.4]}
+ ]
+}`
+
+// TestConcurrentSameSpecSharesCacheBatched is the toolchain-runner
+// variant of TestConcurrentSameSpecSharesCache: two concurrent
+// submissions of one load sweep through noc's runner simulate each
+// point once between them, build the topology once (its shape memo
+// spans campaigns), and serve identical results.
 func TestConcurrentSameSpecSharesCacheBatched(t *testing.T) {
-	var dispatches atomic.Int64
-	release := make(chan struct{})
-	started := make(chan struct{}, 8)
-	runner := &exp.Runner{
-		Workers: 2,
-		Cache:   exp.NewCache(),
-		Eval:    func(j exp.Job) (*exp.Result, error) { return stubEval(j) },
-		// Every cost job of the spec lands in one group.
-		GroupKey: func(j exp.Job) (string, bool) { return "all", true },
-		EvalGroup: func(jobs []exp.Job) ([]*exp.Result, error) {
-			dispatches.Add(1)
-			select {
-			case started <- struct{}{}:
-			default:
-			}
-			<-release
-			out := make([]*exp.Result, len(jobs))
-			for i, j := range jobs {
-				res, err := stubEval(j)
-				if err != nil {
-					return nil, err
-				}
-				out[i] = res
-			}
-			return out, nil
-		},
-	}
-	srv := serve.New(serve.Config{Runner: runner, Executors: 2})
+	srv := serve.New(serve.Config{Runner: noc.NewRunner(2, exp.NewCache()), Executors: 2})
 	t.Cleanup(srv.Close)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 
-	first := submit(t, ts, costSpecJSON)
-	<-started // the first campaign's group dispatch is in flight
-	second := submit(t, ts, costSpecJSON)
-	close(release)
-
+	before := sim.Counters()
+	first := submit(t, ts, loadSpecJSON)
+	second := submit(t, ts, loadSpecJSON)
 	a := waitTerminal(t, srv, first.ID)
 	b := waitTerminal(t, srv, second.ID)
 	if a.Status != serve.StatusDone || b.Status != serve.StatusDone {
 		t.Fatalf("statuses: %s / %s", a.Status, b.Status)
 	}
-	if got := dispatches.Load(); got != 1 {
-		t.Errorf("group dispatches = %d, want 1 (the spec's jobs, once)", got)
+	if got := a.Progress.Computed + b.Progress.Computed; got != 4 {
+		t.Errorf("computed %d + %d jobs, want 4 between them (progress %+v / %+v)",
+			a.Progress.Computed, b.Progress.Computed, a.Progress, b.Progress)
 	}
-	if b.Progress.Computed != 0 {
-		t.Errorf("second campaign computed %d jobs, want 0 (progress %+v)", b.Progress.Computed, b.Progress)
-	}
-	if b.Progress.Shared+b.Progress.CacheHits != 3 {
-		t.Errorf("second campaign shared+cached = %d, want 3 (progress %+v)", b.Progress.Shared+b.Progress.CacheHits, b.Progress)
+	if d := sim.Counters().ShapeBuilds - before.ShapeBuilds; d != 1 {
+		t.Errorf("shape builds = %d, want 1", d)
 	}
 
 	csv := func(id string) string {

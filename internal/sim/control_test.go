@@ -293,7 +293,7 @@ func TestSaturationLowerBound(t *testing.T) {
 func TestLoadLatencyCurveDrainClamp(t *testing.T) {
 	cfg := meshConfig(t, 0)
 	cfg.Drain = 100000
-	curve, err := LoadLatencyCurve(cfg, []float64{0.95})
+	curve, err := LoadLatencyCurve(nil, cfg, []float64{0.95})
 	if err != nil {
 		t.Fatal(err)
 	}

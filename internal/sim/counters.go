@@ -22,10 +22,8 @@ var counters struct {
 	probesSpeculated atomic.Int64
 	probesCanceled   atomic.Int64
 
-	shapeBuilds   atomic.Int64
-	simBuilds     atomic.Int64
-	batches       atomic.Int64
-	batchReplicas atomic.Int64
+	shapeBuilds atomic.Int64
+	simBuilds   atomic.Int64
 
 	anchorReuses atomic.Int64
 }
@@ -62,15 +60,11 @@ type CounterSnapshot struct {
 
 	// ShapeBuilds counts shared topology builds (Shape constructions:
 	// channel wiring + output-port LUT) and SimBuilds counts replica
-	// instantiations; their ratio SimBuilds/ShapeBuilds is the batched
-	// engine's build-work amortization factor (every replica used to
+	// instantiations; their ratio SimBuilds/ShapeBuilds is the
+	// build-work amortization of shape sharing (every replica used to
 	// pay a full shape build).
 	ShapeBuilds int64
 	SimBuilds   int64
-	// Batches counts interleaved Batch.Run passes and BatchReplicas the
-	// replicas they stepped.
-	Batches       int64
-	BatchReplicas int64
 
 	// AnchorReuses counts saturation searches that reused a shared
 	// zero-load reference run (see ZeroLoadAnchor) instead of
@@ -94,8 +88,6 @@ func Counters() CounterSnapshot {
 		ProbesCanceled:      counters.probesCanceled.Load(),
 		ShapeBuilds:         counters.shapeBuilds.Load(),
 		SimBuilds:           counters.simBuilds.Load(),
-		Batches:             counters.batches.Load(),
-		BatchReplicas:       counters.batchReplicas.Load(),
 		AnchorReuses:        counters.anchorReuses.Load(),
 	}
 }

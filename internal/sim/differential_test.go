@@ -1,13 +1,14 @@
 package sim
 
-// Differential equivalence harness for the batched engine: a seeded
+// Differential equivalence harness for shape sharing: a seeded
 // generator draws random (topology family, routing, pattern, load,
-// seed, control on/off) tuples, runs each tuple once through the
-// sequential Simulator.Run path and once as a replica of an
-// interleaved Batch, and asserts the two Stats are bit-identical
-// field by field. This is the proof obligation behind every layer
-// above the engine — the cache, the CSV guarantees, and the parity
-// tests all assume batched == sequential at the bit level.
+// seed, control on/off) tuples, runs each tuple once through a fresh
+// RunConfig build and once as a replica of a batch — replicas of one
+// shared Shape, run one after another — and asserts the two Stats are
+// bit-identical field by field. This is the proof obligation behind
+// every layer above the engine — the toolchain's shape memo, the
+// cache, the CSV guarantees, and the parity tests all assume shared ==
+// fresh at the bit level.
 
 import (
 	"math/rand"
@@ -90,9 +91,9 @@ func (dc diffCase) diffConfig(t *testing.T, tp *topo.Topology, rt *route.Routing
 // TestBatchedMatchesSequentialDifferential is the harness entry
 // point: 36 batches of 3 replicas each (108 generated configurations,
 // every family represented) in full mode, a quarter of that under
-// -short. Each batch mixes loads, seeds, patterns, and control modes,
-// so replicas finish at different cycles and the interleaver's
-// early-exit path is always exercised.
+// -short. Each batch mixes loads, seeds, patterns, and control modes
+// over one shared Shape, so replicas of one build end at different
+// cycles and by different exits.
 func TestBatchedMatchesSequentialDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xD1FFE12E))
 	batches := 36
@@ -145,29 +146,12 @@ func TestBatchedMatchesSequentialDifferential(t *testing.T) {
 			want[i] = st
 		}
 
-		// Batched: the same tuples as replicas of one interleaved
-		// batch over one shared shape. The base carries the shared
-		// fields; per-replica deltas carry the rest.
-		base := cases[0].diffConfig(t, tp, rt)
-		base.Control = nil
-		reps := make([]Replica, len(cases))
+		// Batched: the same tuples as replicas of one shared shape.
+		cfgs := make([]Config, len(cases))
 		for i, dc := range cases {
-			cfg := dc.diffConfig(t, tp, rt)
-			reps[i] = Replica{
-				InjectionRate: cfg.InjectionRate,
-				Seed:          cfg.Seed,
-				Pattern:       cfg.Pattern,
-				Warmup:        cfg.Warmup,
-				Measure:       cfg.Measure,
-				Drain:         cfg.Drain,
-				Control:       cfg.Control,
-			}
+			cfgs[i] = dc.diffConfig(t, tp, rt)
 		}
-		batch, err := NewBatch(base, reps)
-		if err != nil {
-			t.Fatalf("NewBatch %s: %v", fam.kind, err)
-		}
-		got := batch.Run()
+		got := runBatch(t, cfgs)
 
 		for i := range cases {
 			total++
@@ -196,9 +180,10 @@ func TestBatchedMatchesSequentialDifferential(t *testing.T) {
 // TestBatchedMatchesSequentialReplayDifferential extends the harness
 // to trace-driven injection: for every 4x4 family, replicas replaying
 // generated application traces — mixed generators, load scales, and
-// control modes within one batch — must match their sequential runs
+// control modes over one shared Shape — must match their fresh runs
 // bit for bit. This is the guarantee that lets the load-sweep ladder
-// (LoadLatencyCurve and the spec "load" mode) batch trace jobs.
+// (LoadLatencyCurve and the spec "load" mode) share a build across
+// trace jobs.
 func TestBatchedMatchesSequentialReplayDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x7EACE))
 	generators := trace.GeneratorNames()
@@ -262,25 +247,7 @@ func TestBatchedMatchesSequentialReplayDifferential(t *testing.T) {
 			want[i] = st
 		}
 
-		base := configs[0]
-		base.Control = nil
-		reps := make([]Replica, len(configs))
-		for i, cfg := range configs {
-			reps[i] = Replica{
-				InjectionRate: cfg.InjectionRate,
-				Seed:          cfg.Seed,
-				Pattern:       cfg.Pattern,
-				Warmup:        cfg.Warmup,
-				Measure:       cfg.Measure,
-				Drain:         cfg.Drain,
-				Control:       cfg.Control,
-			}
-		}
-		batch, err := NewBatch(base, reps)
-		if err != nil {
-			t.Fatalf("NewBatch %s: %v", fam.kind, err)
-		}
-		got := batch.Run()
+		got := runBatch(t, configs)
 		for i := range configs {
 			total++
 			if got[i] != want[i] {
@@ -337,8 +304,9 @@ func TestShapeRejectsForeignConfig(t *testing.T) {
 	}
 }
 
-// TestBatchCountsBuildWork pins the amortization accounting: a batch
-// of N replicas performs one shape build and N replica builds.
+// TestBatchCountsBuildWork pins the amortization accounting: a load
+// ladder of N points performs one shape build, N replica builds, and
+// N runs.
 func TestBatchCountsBuildWork(t *testing.T) {
 	mesh, err := topo.NewMesh(4, 4)
 	if err != nil {
@@ -348,37 +316,83 @@ func TestBatchCountsBuildWork(t *testing.T) {
 	if err != nil {
 		t.Fatalf("routing: %v", err)
 	}
-	base := Config{Topo: mesh, Routing: rt, Warmup: 100, Measure: 200, Drain: 600}
-	reps := []Replica{
-		{InjectionRate: 0.05, Seed: 1},
-		{InjectionRate: 0.1, Seed: 2},
-		{InjectionRate: 0.2, Seed: 3},
-		{InjectionRate: 0.4, Seed: 4},
-	}
+	base := Config{Topo: mesh, Routing: rt, Seed: 1, Warmup: 100, Measure: 200, Drain: 600}
+	rates := []float64{0.05, 0.1, 0.2, 0.4}
 	before := Counters()
-	b, err := NewBatch(base, reps)
+	out, err := LoadLatencyCurve(nil, base, rates)
 	if err != nil {
-		t.Fatalf("NewBatch: %v", err)
+		t.Fatalf("LoadLatencyCurve: %v", err)
 	}
-	out := b.Run()
 	after := Counters()
 
-	if n := len(out); n != len(reps) {
-		t.Fatalf("batch returned %d stats for %d replicas", n, len(reps))
+	if n := len(out); n != len(rates) {
+		t.Fatalf("ladder returned %d stats for %d points", n, len(rates))
 	}
 	if d := after.ShapeBuilds - before.ShapeBuilds; d != 1 {
 		t.Errorf("shape builds: got %d, want 1", d)
 	}
-	if d := after.SimBuilds - before.SimBuilds; d != int64(len(reps)) {
-		t.Errorf("replica builds: got %d, want %d", d, len(reps))
+	if d := after.SimBuilds - before.SimBuilds; d != int64(len(rates)) {
+		t.Errorf("replica builds: got %d, want %d", d, len(rates))
 	}
-	if d := after.Batches - before.Batches; d != 1 {
-		t.Errorf("batches: got %d, want 1", d)
+	if d := after.Runs - before.Runs; d != int64(len(rates)) {
+		t.Errorf("runs: got %d, want %d", d, len(rates))
 	}
-	if d := after.BatchReplicas - before.BatchReplicas; d != int64(len(reps)) {
-		t.Errorf("batch replicas: got %d, want %d", d, len(reps))
+}
+
+// runBatch runs every config as a replica of one Shape built from the
+// first, one after another.
+func runBatch(t *testing.T, cfgs []Config) []Stats {
+	t.Helper()
+	b, err := newBatch(cfgs)
+	if err != nil {
+		t.Fatalf("batch over %s: %v", cfgs[0].Topo.Kind, err)
 	}
-	if d := after.Runs - before.Runs; d != int64(len(reps)) {
-		t.Errorf("runs: got %d, want %d", d, len(reps))
+	return b.Run()
+}
+
+// Batch is the harnesses' unit of shape sharing: replicas of one
+// Shape, run one after another by Run.
+type Batch struct{ sims []*Simulator }
+
+// Replica is a batch member's delta against the base config of
+// NewBatch.
+type Replica struct {
+	InjectionRate float64
+	Seed          int64
+}
+
+// NewBatch instantiates one replica per delta over a Shape built from
+// base.
+func NewBatch(base Config, reps []Replica) (*Batch, error) {
+	cfgs := make([]Config, len(reps))
+	for i, rep := range reps {
+		cfgs[i] = base
+		cfgs[i].InjectionRate, cfgs[i].Seed = rep.InjectionRate, rep.Seed
 	}
+	return newBatch(cfgs)
+}
+
+// newBatch builds the Shape from cfgs[0] and instantiates every
+// config over it.
+func newBatch(cfgs []Config) (*Batch, error) {
+	sh, err := NewShape(cfgs[0])
+	if err != nil {
+		return nil, err
+	}
+	b := &Batch{sims: make([]*Simulator, len(cfgs))}
+	for i, c := range cfgs {
+		if b.sims[i], err = sh.Instantiate(c); err != nil {
+			return nil, err
+		}
+	}
+	return b, nil
+}
+
+// Run runs the replicas in order and returns their Stats.
+func (b *Batch) Run() []Stats {
+	out := make([]Stats, len(b.sims))
+	for i, s := range b.sims {
+		out[i] = s.Run()
+	}
+	return out
 }

@@ -110,10 +110,11 @@ func (s Stats) DeliveredFraction() float64 {
 // The steady-state cycle loop (step and the phases it calls) performs
 // no heap allocations: packets are recycled through a free list, VC
 // buffers are fixed-capacity rings sized at build time, route and
-// output-port lookups are precomputed tables, and every scratch slice
-// the allocators need lives on the router. Dynamic queues (links,
-// source queues, the latency log) grow to the run's high-water mark
-// during warmup and are then reused.
+// output-port lookups are precomputed tables, and the allocators'
+// scratch bitmasks are preallocated with the engine state (see
+// simState). Dynamic queues (links, source queues, the latency log)
+// grow to the run's high-water mark during warmup and are then
+// reused.
 type Simulator struct {
 	cfg Config
 
@@ -170,13 +171,6 @@ type Simulator struct {
 	latencies                []int64
 	orderViolations          int64
 	linkFlits                []int64 // flits traversed per dchan in the window
-
-	// Run-loop state, held on the simulator rather than the Run stack
-	// so a Batch can suspend and resume replicas between cycles (see
-	// startRun / stepRun / finishRun).
-	runVerdict    Verdict
-	runDeadlocked bool
-	runPh         phaseTrace
 }
 
 // watchdogCycles is how long the watchdog waits without any flit
@@ -187,7 +181,7 @@ const watchdogCycles = 8000
 // It is equivalent to building a single-use Shape and instantiating
 // one replica from it; callers running several configurations that
 // differ only in load, seed, pattern, or schedule should build the
-// Shape once and share it (see NewShape, NewBatch).
+// Shape once and instantiate replicas from it (see NewShape).
 func New(cfg Config) (*Simulator, error) {
 	cfg.Defaults()
 	if err := cfg.Validate(); err != nil {
@@ -259,22 +253,11 @@ func (s *Simulator) classVCRange(class int8) (int, int) {
 // the latency estimate has converged (see control.go); without it the
 // fixed schedule executes bit-identically to previous releases.
 func (s *Simulator) Run() Stats {
-	s.startRun()
-	for s.stepRun() {
-	}
-	return s.finishRun()
-}
-
-// startRun initializes the run-loop state. The loop body lives in
-// stepRun so Run (sequential) and Batch.Run (interleaved) execute the
-// identical per-cycle code.
-func (s *Simulator) startRun() {
 	cfg := &s.cfg
 	s.measureStart = int64(cfg.Warmup)
 	s.measureEnd = int64(cfg.Warmup + cfg.Measure)
 	s.lastProgress = 0
-	s.runVerdict = VerdictNone
-	s.runDeadlocked = false
+	verdict := VerdictNone
 	if cfg.Control != nil {
 		s.ctl = newCtlState(*cfg.Control, cfg.Measure)
 	}
@@ -298,62 +281,53 @@ func (s *Simulator) startRun() {
 	// are detected against s.measureStart/s.measureEnd each iteration
 	// because adaptive control moves both; with no span attached the
 	// loop pays a single nil check per cycle and allocates nothing.
-	s.runPh = phaseTrace{span: cfg.Span}
-	s.runPh.enter("warmup", 0)
-}
+	ph := phaseTrace{span: cfg.Span}
+	ph.enter("warmup", 0)
 
-// stepRun executes one iteration of the run loop: the end-of-run
-// checks followed by one network cycle. It returns false once the run
-// is over (schedule exhausted, network drained, watchdog fired, or an
-// adaptive verdict ended the run) without advancing the network
-// further; call finishRun then.
-func (s *Simulator) stepRun() bool {
-	cfg := &s.cfg
-	t := s.now
-	if s.runPh.span != nil {
-		if s.runPh.n == 1 && t >= s.measureStart {
-			s.runPh.enter("measure", t)
+	deadlocked := false
+loop:
+	for {
+		t := s.now
+		if ph.span != nil {
+			if ph.n == 1 && t >= s.measureStart {
+				ph.enter("measure", t)
+			}
+			if ph.n == 2 && t >= s.measureEnd {
+				ph.enter("drain", t)
+			}
 		}
-		if s.runPh.n == 2 && t >= s.measureEnd {
-			s.runPh.enter("drain", t)
+		// s.measureEnd moves when a stable verdict truncates the
+		// measurement phase, so the injection stop and drain deadline
+		// are derived from it every cycle.
+		if t >= s.measureEnd+int64(cfg.Drain) {
+			break
 		}
-	}
-	// s.measureEnd moves when a stable verdict truncates the
-	// measurement phase, so the injection stop and drain deadline
-	// are derived from it every cycle.
-	if t >= s.measureEnd+int64(cfg.Drain) {
-		return false
-	}
-	if t >= s.measureEnd && s.measEjected == s.measInjected && s.flitsInFlight == 0 {
-		return false
-	}
-	if s.flitsInFlight > 0 && t-s.lastProgress > watchdogCycles {
-		s.runDeadlocked = true
-		return false
-	}
-	if s.ctl != nil && t == s.ctl.nextCheck {
-		switch v := s.controlCheck(t); v {
-		case VerdictSaturated, VerdictInterrupted:
-			s.runVerdict = v
-			return false
-		case VerdictStable:
-			// Truncate the measurement phase here and drain
-			// normally, so the delivered statistics stay
-			// unbiased; injection stops this cycle. The monitor
-			// state stays alive in done mode: interrupt polling
-			// must keep working through the drain.
-			s.runVerdict = v
-			s.measureEnd = t
-			s.ctl.done = true
+		if t >= s.measureEnd && s.measEjected == s.measInjected && s.flitsInFlight == 0 {
+			break
 		}
+		if s.flitsInFlight > 0 && t-s.lastProgress > watchdogCycles {
+			deadlocked = true
+			break
+		}
+		if s.ctl != nil && t == s.ctl.nextCheck {
+			switch v := s.controlCheck(t); v {
+			case VerdictSaturated, VerdictInterrupted:
+				verdict = v
+				break loop
+			case VerdictStable:
+				// Truncate the measurement phase here and drain
+				// normally, so the delivered statistics stay
+				// unbiased; injection stops this cycle. The monitor
+				// state stays alive in done mode: interrupt polling
+				// must keep working through the drain.
+				verdict = v
+				s.measureEnd = t
+				s.ctl.done = true
+			}
+		}
+		s.step(t < s.measureEnd)
 	}
-	s.step(t < s.measureEnd)
-	return true
-}
 
-// finishRun assembles the Stats after stepRun has returned false.
-func (s *Simulator) finishRun() Stats {
-	cfg := &s.cfg
 	effMeasure := s.measureEnd - s.measureStart
 	st := Stats{
 		Cycles:           s.now,
@@ -365,8 +339,8 @@ func (s *Simulator) finishRun() Stats {
 		AvgHops:          cfg.Routing.AvgHops(),
 		FlitHops:         s.flitHops,
 		OrderViolations:  s.orderViolations,
-		Deadlocked:       s.runDeadlocked,
-		Verdict:          s.runVerdict,
+		Deadlocked:       deadlocked,
+		Verdict:          verdict,
 		MeasuredCycles:   effMeasure,
 	}
 	if s.measEjected > 0 {
@@ -384,7 +358,7 @@ func (s *Simulator) finishRun() Stats {
 	if effMeasure > 0 {
 		st.MaxLinkUtilization = float64(maxFlits) / float64(effMeasure)
 	}
-	s.runPh.finish(s.now, &st)
+	ph.finish(s.now, &st)
 	countRun(&st)
 	return st
 }

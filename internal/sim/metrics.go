@@ -22,8 +22,7 @@ package sim
 
 import (
 	"fmt"
-
-	"sparsehamming/internal/obs"
+	"sync"
 )
 
 // ZeroLoadLatency measures the average packet latency at a very low
@@ -85,12 +84,14 @@ func ZeroLoadScheduleKey(measure int) int {
 // ZeroLoadAnchor memoizes the zero-load reference run that anchors a
 // saturation search's latency-blowup threshold, so sibling searches
 // with identical zero-load schedules (see ZeroLoadScheduleKey) pay
-// for it once. The toolchain's grouped predict evaluator shares one
-// anchor across the quality tiers of a topology. The zero value is an
-// empty anchor; the first search fills it, later searches reuse the
-// memoized Stats verbatim — results stay bit-identical because every
-// consumer would have computed exactly this run.
+// for it once. The toolchain's shape memo shares one anchor across
+// the quality tiers of a topology. The zero value is an empty anchor;
+// the first search fills it, later searches reuse the memoized Stats
+// verbatim — results stay bit-identical because every consumer would
+// have computed exactly this run. An anchor is safe for concurrent
+// searches: one runs the reference while the others wait for it.
 type ZeroLoadAnchor struct {
+	mu    sync.Mutex
 	valid bool
 	stats Stats
 }
@@ -98,12 +99,17 @@ type ZeroLoadAnchor struct {
 // anchoredZeroLoad returns the memoized zero-load reference run, or
 // executes and memoizes it. A nil anchor always executes.
 func anchoredZeroLoad(sh *Shape, cfg Config, a *ZeroLoadAnchor) (Stats, error) {
-	if a != nil && a.valid {
+	if a == nil {
+		return zeroLoad(sh, cfg)
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.valid {
 		counters.anchorReuses.Add(1)
 		return a.stats, nil
 	}
 	st, err := zeroLoad(sh, cfg)
-	if err == nil && a != nil {
+	if err == nil {
 		a.stats, a.valid = st, true
 	}
 	return st, err
@@ -177,17 +183,10 @@ func clampDrain(c *Config, factor int) {
 	}
 }
 
-// Drain clamp factors (see clampDrain). CurveDrainFactor is exported
-// so batching callers that assemble load-sweep replicas themselves
-// (the noc layer's grouped evaluator) reproduce LoadLatencyCurve's
-// pinned schedule exactly.
+// Drain clamp factors (see clampDrain).
 const (
 	probeDrainFactor = 4
 	curveDrainFactor = 3
-	// CurveDrainFactor is the load-sweep drain clamp: a sweep point's
-	// drain budget is capped at this multiple of its measurement
-	// window.
-	CurveDrainFactor = curveDrainFactor
 )
 
 // satVerdict applies the saturation criterion to a finished probe: an
@@ -214,28 +213,20 @@ func SaturationThroughput(cfg Config) (SaturationResult, error) {
 	if err != nil {
 		return SaturationResult{}, err
 	}
-	return SaturationThroughputShaped(sh, cfg)
-}
-
-// SaturationThroughputShaped is SaturationThroughput against a
-// pre-built Shape, letting callers that search many configurations of
-// the same topology (the grouped predict evaluator) share one build
-// across all of them. The shape must have been built for the config's
-// topology, routing, and link latencies; results are bit-identical to
-// SaturationThroughput.
-func SaturationThroughputShaped(sh *Shape, cfg Config) (SaturationResult, error) {
 	return SaturationThroughputAnchored(sh, cfg, nil)
 }
 
-// SaturationThroughputAnchored is SaturationThroughputShaped with an
-// optional shared zero-load anchor: when non-nil, the search takes
-// its zero-load reference run from the anchor (filling it on first
-// use) instead of always simulating one. Callers must only share an
-// anchor between searches whose zero-load schedules coincide —
-// same shape, traffic pattern, seed, and ZeroLoadScheduleKey — in
-// which case the result, including its SimCycles accounting, is
-// bit-identical to the unanchored search. A nil anchor is exactly
-// SaturationThroughputShaped.
+// SaturationThroughputAnchored is SaturationThroughput against a
+// pre-built Shape, letting callers that search many configurations of
+// the same topology (the toolchain's shape memo) share one build
+// across all of them, with an optional shared zero-load anchor. The
+// shape must have been built for the config's topology, routing, and
+// link latencies. A non-nil anchor supplies the search's zero-load
+// reference run (filling it on first use) instead of always
+// simulating one. Callers must only share an anchor between searches
+// whose zero-load schedules coincide — same shape, traffic pattern,
+// seed, and ZeroLoadScheduleKey — in which case the result, including
+// its SimCycles accounting, is bit-identical to SaturationThroughput.
 func SaturationThroughputAnchored(sh *Shape, cfg Config, anchor *ZeroLoadAnchor) (SaturationResult, error) {
 	cfg.Defaults()
 	if _, ok := cfg.Pattern.(*Replay); ok {
@@ -335,31 +326,35 @@ func finishSearch(res *SaturationResult, lo, hi float64) {
 // clamp mechanism (at the curve's historical factor), so sweep
 // points above saturation do not pay the full drain budget.
 //
-// The whole ladder runs as one Batch: the topology is built once and
-// the points step as interleaved replicas, with results bit-identical
-// to the historical point-at-a-time sweep.
-func LoadLatencyCurve(cfg Config, rates []float64) ([]Stats, error) {
+// Every point is a replica of one Shape, run one after another: sh
+// when non-nil (it must match the config, as for Instantiate),
+// otherwise one built from cfg. Each point runs under a "point" child
+// of cfg.Span.
+func LoadLatencyCurve(sh *Shape, cfg Config, rates []float64) ([]Stats, error) {
 	cfg.Defaults()
 	if len(rates) == 0 {
 		return nil, nil
 	}
-	reps := make([]Replica, len(rates))
-	spans := make([]*obs.Span, len(rates))
+	if sh == nil {
+		var err error
+		if sh, err = NewShape(cfg); err != nil {
+			return nil, err
+		}
+	}
+	out := make([]Stats, len(rates))
 	for i, r := range rates {
 		c := cfg
 		c.InjectionRate = r
 		clampDrain(&c, curveDrainFactor)
-		spans[i] = cfg.Span.Child("point")
-		spans[i].SetAttr("rate", r)
-		reps[i] = Replica{InjectionRate: r, Drain: c.Drain, Span: spans[i]}
-	}
-	b, err := NewBatch(cfg, reps)
-	if err != nil {
-		return nil, err
-	}
-	out := b.Run()
-	for _, sp := range spans {
-		sp.End()
+		c.Span = cfg.Span.Child("point")
+		c.Span.SetAttr("rate", r)
+		s, err := sh.Instantiate(c)
+		if err != nil {
+			c.Span.End()
+			return nil, err
+		}
+		out[i] = s.Run()
+		c.Span.End()
 	}
 	return out, nil
 }

@@ -76,7 +76,7 @@ func TestMaxLinkUtilizationBounds(t *testing.T) {
 }
 
 func TestLoadLatencyCurveMonotone(t *testing.T) {
-	curve, err := LoadLatencyCurve(meshConfig(t, 0), []float64{0.05, 0.15, 0.3})
+	curve, err := LoadLatencyCurve(nil, meshConfig(t, 0), []float64{0.05, 0.15, 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -133,28 +133,70 @@ func (s *Spec) Expand() ([]exp.Job, error) {
 	return jobs, nil
 }
 
+// MaxJobs bounds the jobs one spec may expand to. Specs arrive from
+// untrusted clients (POST /v1/campaigns), so Validate and ExpandSweeps
+// size every sweep's cross product from its axis lengths before
+// allocating any job. The largest checked-in spec expands to 512.
+const MaxJobs = 100_000
+
 // ExpandSweeps returns the spec's jobs grouped per sweep, aligned
-// with Labels.
+// with Labels. It fails without allocating the jobs when the spec
+// would expand to more than MaxJobs.
 func (s *Spec) ExpandSweeps() ([][]exp.Job, error) {
+	axes, err := s.axes()
+	if err != nil {
+		return nil, err
+	}
 	groups := make([][]exp.Job, len(s.Sweeps))
 	for i := range s.Sweeps {
-		jobs, err := s.Sweeps[i].jobs()
-		if err != nil {
-			return nil, fmt.Errorf("spec %q: sweep %d (%s): %w", s.Name, i+1, s.Sweeps[i].label(i), err)
-		}
-		groups[i] = jobs
+		groups[i] = s.Sweeps[i].jobs(&axes[i])
 	}
 	return groups, nil
 }
 
-// jobs expands one sweep.
-func (sw *Sweep) jobs() ([]exp.Job, error) {
+// axes resolves every sweep's axes and enforces MaxJobs over their
+// summed cross products.
+func (s *Spec) axes() ([]sweepAxes, error) {
+	axes := make([]sweepAxes, len(s.Sweeps))
+	total := 0
+	for i := range s.Sweeps {
+		a, err := s.Sweeps[i].axes()
+		if err != nil {
+			return nil, fmt.Errorf("spec %q: sweep %d (%s): %w", s.Name, i+1, s.Sweeps[i].label(i), err)
+		}
+		axes[i] = a
+		if total += a.count(); total > MaxJobs {
+			return nil, fmt.Errorf("spec %q: expands to more than %d jobs", s.Name, MaxJobs)
+		}
+	}
+	return axes, nil
+}
+
+// sweepAxes are one sweep's resolved axes; its jobs are their cross
+// product.
+type sweepAxes struct {
+	mode                          exp.Mode
+	topos                         []TopologySpec
+	routings, patterns, qualities []string
+	loads                         []float64
+	seeds                         []int64
+}
+
+// axes resolves the sweep's axes, applying the defaults.
+func (sw *Sweep) axes() (sweepAxes, error) {
 	mode, err := sw.mode()
 	if err != nil {
-		return nil, err
+		return sweepAxes{}, err
 	}
-	routings := axis(sw.Routings, "")
-	patterns := axis(sw.Patterns, "")
+	a := sweepAxes{
+		mode:      mode,
+		topos:     sw.Topologies,
+		routings:  axis(sw.Routings, ""),
+		patterns:  axis(sw.Patterns, ""),
+		qualities: axis(sw.Qualities, ""),
+		loads:     sw.Loads,
+		seeds:     sw.Seeds,
+	}
 	if len(sw.Traces) > 0 {
 		// Trace entries join the pattern axis as "trace:<path>" names;
 		// the "" uniform default applies only when both lists are empty.
@@ -163,48 +205,73 @@ func (sw *Sweep) jobs() ([]exp.Job, error) {
 		for _, path := range sw.Traces {
 			merged = append(merged, "trace:"+path)
 		}
-		patterns = merged
+		a.patterns = merged
 	}
-	qualities := axis(sw.Qualities, "")
-	loads := sw.Loads
 	if mode != exp.ModeLoad {
-		loads = []float64{0}
+		a.loads = []float64{0}
 	}
-	seeds := sw.Seeds
-	if len(seeds) == 0 {
-		seeds = []int64{0}
+	if len(a.seeds) == 0 {
+		a.seeds = []int64{0}
 	}
-	ov := sw.Arch.override()
-
-	topos := sw.Topologies
 	if sw.HammingSpace {
 		arch, err := ArchForJob(sw.probeJob())
 		if err != nil {
-			return nil, err
+			return sweepAxes{}, err
 		}
 		params, err := topo.HammingSpace(arch.Rows, arch.Cols, sw.maxConfigs())
 		if err != nil {
-			return nil, err
+			return sweepAxes{}, err
 		}
-		topos = make([]TopologySpec, len(params))
+		a.topos = make([]TopologySpec, len(params))
 		for i, p := range params {
-			topos[i] = TopologySpec{Kind: "sparse-hamming", SR: p.SR, SC: p.SC}
+			a.topos[i] = TopologySpec{Kind: "sparse-hamming", SR: p.SR, SC: p.SC}
 		}
 	}
+	return a, nil
+}
 
+// count returns the size of the axes' cross product, saturating just
+// past MaxJobs so no product of axis lengths can overflow.
+func (a *sweepAxes) count() int {
+	mul := func(x, y int) int {
+		if y == 0 {
+			return 0
+		}
+		if x > MaxJobs/y {
+			return MaxJobs + 1
+		}
+		return x * y
+	}
+	topoRoutings := 0
+	for _, ts := range a.topos {
+		if ts.Routing != "" {
+			topoRoutings++
+		} else {
+			topoRoutings += len(a.routings)
+		}
+	}
+	n := mul(min(topoRoutings, MaxJobs+1), len(a.patterns))
+	n = mul(n, len(a.loads))
+	n = mul(n, len(a.qualities))
+	return mul(n, len(a.seeds))
+}
+
+// jobs expands one sweep's axes.
+func (sw *Sweep) jobs(a *sweepAxes) []exp.Job {
+	ov := sw.Arch.override()
 	var jobs []exp.Job
-	for _, ts := range topos {
-		rlist := routings
+	for _, ts := range a.topos {
+		rlist := a.routings
 		if ts.Routing != "" {
 			rlist = []string{ts.Routing}
 		}
 		for _, routing := range rlist {
-			for _, pattern := range patterns {
-				for _, load := range loads {
-					for _, quality := range qualities {
-						for _, seed := range seeds {
+			for _, pattern := range a.patterns {
+				for _, load := range a.loads {
+					for _, quality := range a.qualities {
+						for _, seed := range a.seeds {
 							jobs = append(jobs, exp.Job{
-								Mode:     mode,
+								Mode:     a.mode,
 								Scenario: sw.Arch.Scenario,
 								Rows:     sw.Arch.Rows,
 								Cols:     sw.Arch.Cols,
@@ -224,5 +291,5 @@ func (sw *Sweep) jobs() ([]exp.Job, error) {
 			}
 		}
 	}
-	return jobs, nil
+	return jobs
 }

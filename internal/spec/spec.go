@@ -243,8 +243,8 @@ var validQualities = func() map[string]bool {
 // running anything: architectures resolve and validate, topology
 // kinds are registered and structurally applicable on the sweep's
 // grid (instances are built and connectivity-checked), routing and
-// pattern names are registered, and the mode's axis requirements
-// hold. A valid spec can still fail at run time only for deep
+// pattern names are registered, the mode's axis requirements hold,
+// and the spec expands to at most MaxJobs jobs. A valid spec can still fail at run time only for deep
 // incompatibilities validation does not simulate (e.g. pinning a
 // torus-only routing onto a mesh).
 func (s *Spec) Validate() error {
@@ -256,7 +256,8 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("spec %q: sweep %d (%s): %w", s.Name, i+1, s.Sweeps[i].label(i), err)
 		}
 	}
-	return nil
+	_, err := s.axes()
+	return err
 }
 
 // validate checks one sweep.

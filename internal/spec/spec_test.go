@@ -151,6 +151,11 @@ func TestValidateRejects(t *testing.T) {
 			s.Sweeps[0].Loads = []float64{0.5}
 			s.Sweeps[0].Traces = []string{"no-such-file.trace"}
 		}},
+		{"more than MaxJobs jobs", func(s *Spec) {
+			s.Sweeps[0].Mode = "load"
+			s.Sweeps[0].Loads = []float64{0.1, 0.2, 0.3, 0.4}
+			s.Sweeps[0].Seeds = make([]int64, MaxJobs/4+1)
+		}},
 		{"trace grid mismatch", func(s *Spec) {
 			// The checked-in traces are 4x4; the base sweep's scenario-a
 			// grid is 8x8.
