@@ -6,7 +6,11 @@ package sim
 // exactly the sequential bisection's probe sequence, and speculation
 // only changes when those probes execute, never which ones count.
 
-import "sparsehamming/internal/obs"
+import (
+	"fmt"
+
+	"sparsehamming/internal/obs"
+)
 
 // specProbe is one speculatively launched probe.
 type specProbe struct {
@@ -80,12 +84,28 @@ func (p *prober) speculate(rate float64) {
 	}
 	sp.span.SetAttr("speculative", true)
 	started := p.cfg.Sched.TryGo(func() {
-		sp.done <- p.run(rate, sp.interrupt, sp.span)
+		sp.done <- p.runContained(rate, sp.interrupt, sp.span)
 	})
 	if started {
 		counters.probesSpeculated.Add(1)
 		p.pending[rate] = sp
 	}
+}
+
+// runContained is run on a speculative probe's own goroutine, where
+// no caller's recover is on the stack: a panic there would take down
+// the whole process. It becomes the probe's outcome error instead, so
+// only the search that consumes the outcome fails (and a canceled
+// probe's panic is discarded with its outcome).
+func (p *prober) runContained(rate float64, interrupt <-chan struct{}, span *obs.Span) (out probeOutcome) {
+	defer func() {
+		if r := recover(); r != nil {
+			span.SetAttr("panic", fmt.Sprint(r))
+			span.End()
+			out = probeOutcome{err: fmt.Errorf("sim: speculative probe at rate %g panicked: %v", rate, r)}
+		}
+	}()
+	return p.run(rate, interrupt, span)
 }
 
 // eval returns the outcome of the probe at rate: the in-flight

@@ -155,9 +155,10 @@ func BenchmarkStageSwitchAlloc(b *testing.B) {
 	})
 }
 
-// BenchmarkStageDeliver times link flit/credit delivery into the flat
-// VC lanes. It inverts stageBench's pattern: deliver is timed, the
-// rest runs off-timer.
+// BenchmarkStageDeliver times deliverSoA directly: emptying one
+// timing-wheel slot of arriving flits and credits into the flat VC
+// lanes. It inverts stageBench's pattern: deliver is timed, the rest
+// runs off-timer.
 func BenchmarkStageDeliver(b *testing.B) {
 	s := benchSim(b, 0.3, false)
 	b.ResetTimer()

@@ -183,9 +183,11 @@ func (c Control) withDefaults() Control {
 // worker slots. TryGo runs fn on another goroutine when a slot is
 // free and returns true; false means no capacity is available and the
 // caller proceeds sequentially. Implementations must release the slot
-// when fn returns. The experiment-campaign runner (package exp)
-// implements this over its shared evaluation-slot pool; the bridge
-// lives in package noc so sim stays free of campaign dependencies.
+// when fn returns; they need no recover, since fn turns a panic in its
+// probe into that probe's outcome error. The experiment-campaign
+// runner (package exp) implements this over its shared
+// evaluation-slot pool; the bridge lives in package noc so sim stays
+// free of campaign dependencies.
 type ProbeScheduler interface {
 	// TryGo runs fn concurrently if capacity is free, returning
 	// whether it did.

@@ -1,7 +1,11 @@
 package sim
 
 import (
+	"bytes"
+	"math/rand"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -316,4 +320,80 @@ func relDiff(a, b float64) float64 {
 		return 0
 	}
 	return d / b
+}
+
+// goroutineID returns the calling goroutine's id, parsed from the
+// "goroutine N [...]" header of its stack trace.
+func goroutineID() uint64 {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	buf = bytes.TrimPrefix(buf, []byte("goroutine "))
+	id, err := strconv.ParseUint(string(buf[:bytes.IndexByte(buf, ' ')]), 10, 64)
+	if err != nil {
+		panic(err)
+	}
+	return id
+}
+
+// panicAwayFromHome draws uniform destinations on its home goroutine
+// and panics on every other one: inside a saturation search whose
+// home it is, exactly the speculative probes panic.
+type panicAwayFromHome struct {
+	UniformRandom
+	home uint64
+}
+
+func (p *panicAwayFromHome) Dest(src int, rng *rand.Rand) int {
+	if goroutineID() != p.home {
+		panic("injected probe fault")
+	}
+	return p.UniformRandom.Dest(src, rng)
+}
+
+// TestSpeculativeProbePanicFailsOnlyItsSearch: a panic inside a
+// speculative probe's goroutine must not kill the process. It becomes
+// that probe's outcome error, fails the one search that consumes it,
+// and leaves a sibling search running beside it — on another
+// scheduler, concurrently — with its deterministic result.
+func TestSpeculativeProbePanicFailsOnlyItsSearch(t *testing.T) {
+	good := meshConfig(t, 0)
+	good.Measure = 1000
+	good.Control = &Control{RelHalfWidth: 0.05}
+	want, err := SaturationThroughput(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	badSched, goodSched := newPoolSched(1), newPoolSched(1)
+	var wg sync.WaitGroup
+	var badErr, goodErr error
+	var got SaturationResult
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		bad := good
+		bad.Pattern = &panicAwayFromHome{UniformRandom: UniformRandom{N: good.Topo.NumTiles()}, home: goroutineID()}
+		bad.Sched = badSched
+		_, badErr = SaturationThroughput(bad)
+	}()
+	go func() {
+		defer wg.Done()
+		c := good
+		c.Sched = goodSched
+		got, goodErr = SaturationThroughput(c)
+	}()
+	wg.Wait()
+	badSched.wg.Wait()
+	goodSched.wg.Wait()
+
+	if badErr == nil || !strings.Contains(badErr.Error(), "panicked: injected probe fault") {
+		t.Errorf("search with a panicking speculative probe: err = %v, want the recovered panic", badErr)
+	}
+	if goodErr != nil {
+		t.Fatalf("sibling search failed: %v", goodErr)
+	}
+	if got.SaturationRate != want.SaturationRate || got.SimCycles != want.SimCycles {
+		t.Errorf("sibling search rate %.4f (%d cy), want %.4f (%d cy)",
+			got.SaturationRate, got.SimCycles, want.SaturationRate, want.SimCycles)
+	}
 }

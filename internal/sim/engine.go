@@ -111,24 +111,25 @@ func (s Stats) DeliveredFraction() float64 {
 // no heap allocations: packets are recycled through a free list, VC
 // buffers are fixed-capacity rings sized at build time, route and
 // output-port lookups are precomputed tables, and the allocators'
-// scratch bitmasks are preallocated with the engine state (see
-// simState). Dynamic queues (links, source queues, the latency log)
-// grow to the run's high-water mark during warmup and are then
-// reused.
+// scratch bitmasks and the link timing wheel are preallocated with
+// the engine state (see simState). Dynamic queues (source queues, the
+// latency log) grow to the run's high-water mark during warmup and
+// are then reused.
 type Simulator struct {
 	cfg Config
 
 	// soa holds the default structure-of-arrays engine state: flat
 	// per-(port, vc) lanes indexed through the shape's portBase table
-	// (see soa.go). routers holds the retained array-of-structs
-	// reference engine instead — non-nil only when cfg.reference is
+	// and the link timing wheel (see soa.go). routers and chans hold
+	// the retained array-of-structs reference engine and its
+	// per-channel queues instead — non-nil only when cfg.reference is
 	// set, which in-package differential tests use as the oracle the
 	// SoA layout is verified bit-identical against (see reference.go).
 	soa     *simState
 	routers []*router
+	chans   []dchan
 
 	n       int // router count
-	chans   []dchan
 	packets []packet
 	rng     *rand.Rand
 	now     int64
@@ -191,11 +192,11 @@ func New(cfg Config) (*Simulator, error) {
 }
 
 // instantiate allocates the mutable per-replica state — the flat SoA
-// lanes (or, under cfg.reference, routers with their VC rings, credit
-// counters, and arbiter pointers), plus the directed-channel queues —
-// over the shape's shared wiring and output-port LUT. cfg must be
-// defaulted, validated, and match the shape (see Instantiate for the
-// checked public entry point).
+// lanes and link timing wheel (or, under cfg.reference, routers with
+// their VC rings, credit counters, and arbiter pointers plus the
+// directed-channel queues) — over the shape's shared wiring and
+// output-port LUT. cfg must be defaulted, validated, and match the
+// shape (see Instantiate for the checked public entry point).
 func (sh *Shape) instantiate(cfg *Config) *Simulator {
 	s := &Simulator{
 		cfg:        *cfg,
@@ -204,12 +205,9 @@ func (sh *Shape) instantiate(cfg *Config) *Simulator {
 		noPool:     cfg.Tracer != nil,
 		pathPorts:  sh.pathPorts,
 		n:          sh.topo.NumTiles(),
+		linkFlits:  make([]int64, len(sh.chans)),
 	}
-	// The SoA allocators pack one request bit per input port and one
-	// lane bit per VC into a word; routers wider than 64 ports or
-	// configs with more than 64 VCs (no shipped topology or config
-	// comes close) fall back to the reference layout.
-	if cfg.reference || sh.maxIn > 64 || cfg.NumVCs > 64 {
+	if cfg.reference {
 		s.instantiateRef(sh)
 	} else {
 		s.instantiateSoA(sh)
@@ -218,19 +216,6 @@ func (sh *Shape) instantiate(cfg *Config) *Simulator {
 	if rp, ok := cfg.Pattern.(*Replay); ok {
 		s.replaySched = rp.schedule(cfg.InjectionRate)
 	}
-
-	s.chans = make([]dchan, len(sh.chans))
-	for i := range sh.chans {
-		cs := &sh.chans[i]
-		s.chans[i] = dchan{
-			from:    cs.from,
-			to:      cs.to,
-			outPort: cs.outPort,
-			inPort:  cs.inPort,
-			latency: cs.latency,
-		}
-	}
-	s.linkFlits = make([]int64, len(s.chans))
 
 	counters.simBuilds.Add(1)
 	return s

@@ -115,6 +115,15 @@ func (c *Config) Defaults() {
 	}
 }
 
+// maxVCs and maxRouterPorts bound the configurations the engine can
+// hold: its allocators pack one bit per VC of a port, and one bit per
+// port of a router (the link ports plus the local
+// injection/ejection port), into a 64-bit word.
+const (
+	maxVCs         = 64
+	maxRouterPorts = 64
+)
+
 // Validate checks the configuration.
 func (c *Config) Validate() error {
 	if c.Topo == nil || c.Routing == nil {
@@ -122,6 +131,13 @@ func (c *Config) Validate() error {
 	}
 	if c.Routing.Topo != c.Topo {
 		return fmt.Errorf("sim: routing was built for a different topology")
+	}
+	if c.NumVCs > maxVCs {
+		return fmt.Errorf("sim: %d VCs per port exceed the engine's limit of %d", c.NumVCs, maxVCs)
+	}
+	if ports := c.Topo.MaxRadix() + 1; ports > maxRouterPorts {
+		return fmt.Errorf("sim: a router with %d ports (radix %d plus the local port) exceeds the engine's limit of %d",
+			ports, ports-1, maxRouterPorts)
 	}
 	if c.NumVCs < c.Routing.NumClasses {
 		return fmt.Errorf("sim: %d VCs cannot host %d VC classes", c.NumVCs, c.Routing.NumClasses)
@@ -166,7 +182,9 @@ type timedCredit struct {
 	arrive int64
 }
 
-// dchan is one directed channel between two routers.
+// dchan is one directed channel between two routers, with the flit
+// and credit queues of the reference engine (the SoA engine keeps
+// in-flight flits and credits in its timing wheel instead).
 type dchan struct {
 	from, to int32
 	outPort  int16 // output port index at from

@@ -13,8 +13,20 @@ package sim
 
 // instantiateRef allocates the array-of-structs per-replica state:
 // one router struct per tile with its VC rings, credit counters, and
-// arbiter pointers.
+// arbiter pointers, and one flit/credit queue pair per directed
+// channel.
 func (s *Simulator) instantiateRef(sh *Shape) {
+	s.chans = make([]dchan, len(sh.chans))
+	for i := range sh.chans {
+		cs := &sh.chans[i]
+		s.chans[i] = dchan{
+			from:    cs.from,
+			to:      cs.to,
+			outPort: cs.outPort,
+			inPort:  cs.inPort,
+			latency: cs.latency,
+		}
+	}
 	s.routers = make([]*router, s.n)
 	for id := 0; id < s.n; id++ {
 		deg := len(sh.inChans[id])

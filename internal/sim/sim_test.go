@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"sparsehamming/internal/route"
@@ -321,6 +322,65 @@ func TestConfigValidation(t *testing.T) {
 	mismatch.Defaults()
 	if err := mismatch.Validate(); err == nil {
 		t.Error("topology/routing mismatch accepted")
+	}
+
+	// The engine packs one bit per VC of a port and one bit per port
+	// of a router into a 64-bit word: 64 of each is the limit.
+	for _, vcs := range []int{64, 65} {
+		c := Config{Topo: m, Routing: r, NumVCs: vcs}
+		c.Defaults()
+		err := c.Validate()
+		if vcs <= 64 && err != nil {
+			t.Errorf("%d VCs rejected: %v", vcs, err)
+		}
+		if vcs > 64 && (err == nil || !strings.Contains(err.Error(), "65 VCs per port exceed")) {
+			t.Errorf("%d VCs: err = %v, want the VC limit error", vcs, err)
+		}
+	}
+	for _, tiles := range []int{64, 65} {
+		fb, err := topo.NewFlattenedButterfly(1, tiles) // tiles ports per router
+		if err != nil {
+			t.Fatal(err)
+		}
+		fr, err := route.For(fb, route.Auto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := Config{Topo: fb, Routing: fr}
+		c.Defaults()
+		err = c.Validate()
+		if tiles <= 64 && err != nil {
+			t.Errorf("%d-port routers rejected: %v", tiles, err)
+		}
+		if tiles > 64 && (err == nil || !strings.Contains(err.Error(), "router with 65 ports")) {
+			t.Errorf("%d-port routers: err = %v, want the port limit error", tiles, err)
+		}
+	}
+}
+
+// TestEngineAtPackingLimits runs the SoA engine at both packing
+// limits at once — 64-port routers with 64 VCs per port, where every
+// lane, port, and free-VC mask is a full word — and checks it against
+// the reference engine.
+func TestEngineAtPackingLimits(t *testing.T) {
+	fb, err := topo.NewFlattenedButterfly(1, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := route.For(fb, route.Auto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	soa, ref := runBothEngines(t, Config{
+		Topo: fb, Routing: r, NumVCs: 64, BufDepth: 2,
+		RouterDelay: 2, PacketLen: 4, InjectionRate: 0.5,
+		Seed: 9, Warmup: 50, Measure: 200, Drain: 1000,
+	})
+	if soa != ref {
+		t.Fatalf("SoA and reference engines diverge at the packing limits:\nSoA       %+v\nreference %+v", soa, ref)
+	}
+	if soa.MeasuredEjected == 0 || soa.Deadlocked {
+		t.Fatalf("degenerate run at the packing limits: %+v", soa)
 	}
 }
 

@@ -1,23 +1,23 @@
 package sim
 
-// Structure-of-arrays engine state. The mutable per-replica state
-// that used to live in per-router structs (VC rings, credit counters,
-// arbiter pointers, scratch) is flattened into a handful of dense
-// arrays indexed by a global (router, port, vc) offset scheme
-// precomputed in the Shape: router id owns global ports
+// Structure-of-arrays engine state. The mutable per-replica state is
+// a handful of dense arrays indexed by a global (router, port, vc)
+// offset scheme precomputed in the Shape: router id owns global ports
 // [portBase[id], portBase[id+1]) — its link ports in neighbor order
 // plus the injection/ejection port last — and VC lane vcIdx =
-// globalPort*V + vc. Every per-cycle phase walks these lanes with
-// small-integer arithmetic instead of chasing router and slice
-// pointers, the flit buffers of all VCs live in one ring arena
-// (flit slot vcIdx*D + pos), and idle routers are skipped by scanning
-// a word-granular occupancy bitmap rather than testing each router.
+// globalPort*V + vc. The flit buffers of all VCs live in one ring
+// arena (flit slot vcIdx*D + pos), flits and credits in flight on the
+// links live in one timing wheel, and every scan the per-cycle phases
+// make is a bit scan: idle routers are skipped through a word-granular
+// occupancy bitmap, routers and ports with nothing to allocate through
+// per-router port masks, lanes through per-port VC masks, and busy
+// output VCs through per-port free masks.
 //
 // The layout is behavior-invariant: the phases below compute exactly
 // the reference engine's sequence of state transitions (see
 // reference.go and the proof obligations spelled out next to each
-// divergence), and differential_test.go pins the two engines
-// bit-identical across the full configuration matrix.
+// divergence), and soa_test.go pins the two engines bit-identical
+// across the full configuration matrix, multi-cycle links included.
 
 import "math/bits"
 
@@ -32,17 +32,17 @@ type simState struct {
 	portBase []int32
 	inChans  [][]int32
 	outChans [][]int32
+	chans    []chanShape
 
 	// Per-VC lanes, indexed by vcIdx = globalPort*V + vc. outPort and
 	// outVC are the input-side VC allocation (-1 when unrouted);
-	// credits and ovcOwner are the output-side bookkeeping of the same
-	// global port numbering (numIn == numOut at every router).
+	// credits is the output-side bookkeeping of the same global port
+	// numbering (numIn == numOut at every router).
 	outPort  []int16
 	outVC    []int16
 	ringHead []int16
 	ringN    []int16
 	credits  []int16
-	ovcOwner []int32
 
 	// ring is the flit arena backing every VC buffer: the flit at ring
 	// position pos of lane vcIdx lives at ring[vcIdx*D + pos].
@@ -64,8 +64,23 @@ type simState struct {
 	// busy, a non-tail pop that empties the ring clears busy, and a
 	// tail pop clears busy and sets head again if another packet's
 	// head is now at the front.
-	headMask []uint64
-	busyMask []uint64
+	//
+	// headPorts and busyPorts lift the same summary one level: bit p
+	// of headPorts[id] (busyPorts[id]) is set exactly when
+	// headMask[portBase[id]+p] (busyMask) is nonzero, so the
+	// allocators visit only the ports that have lanes to consider and
+	// skip a router outright when its word is zero.
+	headMask  []uint64
+	busyMask  []uint64
+	headPorts []uint64
+	busyPorts []uint64
+
+	// ovcFree[gp] bit v is set while output VC v of global port gp is
+	// unowned. ANDed with classMask[class] — the VC interval of one
+	// routing class — its lowest set bit is the VC the allocator
+	// grants.
+	ovcFree   []uint64
+	classMask []uint64
 
 	// saReq[op] is the output arbiter's request bitmask — bit ip set
 	// when input port ip's candidate VC requests output port op —
@@ -85,17 +100,42 @@ type simState struct {
 	saCand  []int16
 
 	// Per-router lanes.
-	bufFlits  []int32
-	needRoute []int32
-	injVC     []int16
-	injSeq    []int16
-	srcQ      []queue[int32]
+	bufFlits []int32
+	injVC    []int16
+	injSeq   []int16
+	srcQ     []queue[int32]
 
 	// occ is the occupancy bitmap: bit id is set while router id has
 	// queued source packets or buffered flits. Set on packet arrival
 	// (pushPacket) and flit delivery; cleared by the end-of-cycle scan
 	// once the router drained. Phases 2-5 scan set bits only.
 	occ []uint64
+
+	// The link timing wheel: a calendar of calMask+1 slots (a power of
+	// two longer than the largest link latency), slot k holding the
+	// flits and credits that arrive on the cycles t with t&calMask ==
+	// k. Only cycles t+1 .. t+maxLatency can be pending at cycle t, so
+	// no two pending cycles share a slot. A channel carries at most
+	// one flit and one credit per cycle, so calCap — the directed
+	// channel count — bounds every slot, and slot k's entries live at
+	// [k*calCap, k*calCap+calFlitN[k]) of calFlits (respectively
+	// calCreditN[k] of calCredits, each the credits lane it refills).
+	calMask    int64
+	calCap     int
+	calFlits   []calFlit
+	calFlitN   []int32
+	calCredits []int32
+	calCreditN []int32
+}
+
+// calFlit is one flit in flight on a link, with the router, local
+// input port, and VC it is bound for.
+type calFlit struct {
+	pkt  int32
+	to   int32
+	seq  int16
+	port int16
+	vc   int16
 }
 
 // setOcc marks router id as occupied.
@@ -108,37 +148,59 @@ func (st *simState) setOcc(id int32) {
 func (s *Simulator) instantiateSoA(sh *Shape) {
 	V, D := s.cfg.NumVCs, s.cfg.BufDepth
 	P := sh.numPorts
+	maxLat := int64(1)
+	for i := range sh.chans {
+		maxLat = max(maxLat, sh.chans[i].latency)
+	}
+	slots := 1 << bits.Len64(uint64(maxLat)) // smallest power of two > maxLat
+	nch := len(sh.chans)
 	st := &simState{
-		V:         V,
-		D:         D,
-		portBase:  sh.portBase,
-		inChans:   sh.inChans,
-		outChans:  sh.outChans,
-		outPort:   make([]int16, P*V),
-		outVC:     make([]int16, P*V),
-		ringHead:  make([]int16, P*V),
-		ringN:     make([]int16, P*V),
-		credits:   make([]int16, P*V),
-		ovcOwner:  make([]int32, P*V),
-		ring:      make([]flitRef, P*V*D),
-		headMask:  make([]uint64, P),
-		busyMask:  make([]uint64, P),
-		saInRR:    make([]int16, P),
-		saOutRR:   make([]int16, P),
-		saCand:    make([]int16, sh.maxIn),
-		saReq:     make([]uint64, sh.maxIn),
-		bufFlits:  make([]int32, s.n),
-		needRoute: make([]int32, s.n),
-		injVC:     make([]int16, s.n),
-		injSeq:    make([]int16, s.n),
-		srcQ:      make([]queue[int32], s.n),
-		occ:       make([]uint64, (s.n+63)/64),
+		V:          V,
+		D:          D,
+		portBase:   sh.portBase,
+		inChans:    sh.inChans,
+		outChans:   sh.outChans,
+		chans:      sh.chans,
+		outPort:    make([]int16, P*V),
+		outVC:      make([]int16, P*V),
+		ringHead:   make([]int16, P*V),
+		ringN:      make([]int16, P*V),
+		credits:    make([]int16, P*V),
+		ring:       make([]flitRef, P*V*D),
+		headMask:   make([]uint64, P),
+		busyMask:   make([]uint64, P),
+		headPorts:  make([]uint64, s.n),
+		busyPorts:  make([]uint64, s.n),
+		ovcFree:    make([]uint64, P),
+		classMask:  make([]uint64, s.cfg.Routing.NumClasses),
+		saInRR:     make([]int16, P),
+		saOutRR:    make([]int16, P),
+		saCand:     make([]int16, sh.maxIn),
+		saReq:      make([]uint64, sh.maxIn),
+		bufFlits:   make([]int32, s.n),
+		injVC:      make([]int16, s.n),
+		injSeq:     make([]int16, s.n),
+		srcQ:       make([]queue[int32], s.n),
+		occ:        make([]uint64, (s.n+63)/64),
+		calMask:    int64(slots - 1),
+		calCap:     nch,
+		calFlits:   make([]calFlit, slots*nch),
+		calFlitN:   make([]int32, slots),
+		calCredits: make([]int32, slots*nch),
+		calCreditN: make([]int32, slots),
 	}
 	for i := range st.outPort {
 		st.outPort[i] = -1
 		st.outVC[i] = -1
 		st.credits[i] = int16(D)
-		st.ovcOwner[i] = -1
+	}
+	allVCs := uint64(1)<<uint(V) - 1 // V == 64 wraps to all ones
+	for i := range st.ovcFree {
+		st.ovcFree[i] = allVCs
+	}
+	for c := range st.classMask {
+		lo, hi := s.classVCRange(int8(c))
+		st.classMask[c] = allVCs >> uint(V-hi) &^ (1<<uint(lo) - 1)
 	}
 	for i := range st.injVC {
 		st.injVC[i] = -1
@@ -158,6 +220,29 @@ func (st *simState) ringPush(vcIdx int, f flitRef) {
 	}
 	st.ring[vcIdx*st.D+i] = f
 	st.ringN[vcIdx] = int16(n + 1)
+}
+
+// pushFlit appends flit f to VC v of local port p of router id and
+// updates the router's flit count and masks: a head pushed onto an
+// empty unrouted lane makes it a waiting head, and a body flit pushed
+// onto a drained routed lane makes it busy again.
+func (st *simState) pushFlit(id int32, p, v int, f flitRef) {
+	gp := int(st.portBase[id]) + p
+	vcIdx := gp*st.V + v
+	st.ringPush(vcIdx, f)
+	st.bufFlits[id]++
+	if st.ringN[vcIdx] != 1 {
+		return
+	}
+	if f.seq == 0 {
+		if st.outPort[vcIdx] < 0 {
+			st.headMask[gp] |= 1 << uint(v)
+			st.headPorts[id] |= 1 << uint(p)
+		}
+	} else if st.outPort[vcIdx] >= 0 {
+		st.busyMask[gp] |= 1 << uint(v)
+		st.busyPorts[id] |= 1 << uint(p)
+	}
 }
 
 // ringFront returns the head flit of lane vcIdx (which must be
@@ -180,13 +265,16 @@ func (st *simState) ringPop(vcIdx int) flitRef {
 }
 
 // stepSoA advances the SoA engine by one cycle: the same five-phase
-// pipeline as stepRef, with phases 2-5 visiting only routers whose
-// occupancy bit is set. Skipping is safe because every phase's body
-// is a no-op on a drained router: injection returns on an empty
-// source queue, VC allocation returns on needRoute == 0 (and its
+// pipeline as stepRef. Phase 1 touches only the timing-wheel slot of
+// this cycle; phases 2-5 visit only routers whose occupancy bit is
+// set, and within them VC allocation only routers and ports with a
+// headPorts bit, switch allocation only those with a busyPorts bit.
+// Skipping is safe because every phase's body is a no-op on what it
+// skips: injection returns on an empty source queue, VC allocation
+// considers only lanes with an unrouted head at the front (and its
 // round-robin pointer is virtual, so skipping mutates nothing), and
-// switch allocation returns on bufFlits == 0 before touching its
-// arbiter pointers. Scanning ascending ids preserves the reference
+// switch allocation without a busy lane makes no request and touches
+// no arbiter pointer. Scanning ascending ids preserves the reference
 // engine's visit order, so shared-state side effects (packet-pool
 // recycle order, latency log order, trace event order) are identical.
 func (s *Simulator) stepSoA(inject bool) {
@@ -224,7 +312,7 @@ func (s *Simulator) injectPhaseSoA(t int64) {
 }
 
 // vcAllocPhaseSoA runs VC allocation over the occupied routers that
-// have unrouted head flits.
+// have a lane with an unrouted head at its front.
 func (s *Simulator) vcAllocPhaseSoA(t int64) {
 	st := s.soa
 	for w, word := range st.occ {
@@ -232,7 +320,7 @@ func (s *Simulator) vcAllocPhaseSoA(t int64) {
 		for word != 0 {
 			id := base + int32(bits.TrailingZeros64(word))
 			word &= word - 1
-			if st.needRoute[id] != 0 {
+			if st.headPorts[id] != 0 {
 				s.vcAllocSoA(id, t)
 			}
 		}
@@ -240,8 +328,8 @@ func (s *Simulator) vcAllocPhaseSoA(t int64) {
 }
 
 // switchPhaseSoA runs switch allocation and traversal over the
-// occupied routers, clearing the occupancy bit of routers that
-// drained this cycle.
+// occupied routers with a busy lane, clearing the occupancy bit of
+// routers that drained this cycle.
 func (s *Simulator) switchPhaseSoA(t int64) {
 	st := s.soa
 	for w := range st.occ {
@@ -250,7 +338,7 @@ func (s *Simulator) switchPhaseSoA(t int64) {
 		for word != 0 {
 			id := base + int32(bits.TrailingZeros64(word))
 			word &= word - 1
-			if st.bufFlits[id] != 0 {
+			if st.busyPorts[id] != 0 {
 				s.switchAllocTraverseSoA(id, t)
 			}
 			if st.bufFlits[id] == 0 && st.srcQ[id].len() == 0 {
@@ -260,45 +348,29 @@ func (s *Simulator) switchPhaseSoA(t int64) {
 	}
 }
 
-// deliverSoA moves flits and credits whose link latency has elapsed
-// into the downstream (respectively upstream) router's lanes, marking
-// flit destinations occupied.
+// deliverSoA moves the flits and credits of the timing-wheel slot of
+// cycle t into the downstream (respectively upstream) router's lanes,
+// marking flit destinations occupied, and empties the slot. Each
+// directed channel feeds its own input port and returns credits to
+// its own output port, so the order of entries within a slot cannot
+// change the resulting state.
 func (s *Simulator) deliverSoA(t int64) {
 	st := s.soa
-	V := st.V
-	rd := int64(s.cfg.RouterDelay)
-	for i := range s.chans {
-		c := &s.chans[i]
-		if c.flits.len() > 0 && c.flits.front().arrive <= t {
-			to := c.to
-			gp := int(st.portBase[to]) + int(c.inPort)
-			vcBase := gp * V
-			for c.flits.len() > 0 && c.flits.front().arrive <= t {
-				f := c.flits.pop()
-				vcIdx := vcBase + int(f.vc)
-				st.ringPush(vcIdx, flitRef{pkt: f.pkt, seq: f.seq, ready: t + rd})
-				st.bufFlits[to]++
-				if f.seq == 0 {
-					st.needRoute[to]++
-					// Head onto an empty unrouted lane: the lane now has an
-					// unrouted front flit.
-					if st.ringN[vcIdx] == 1 && st.outPort[vcIdx] < 0 {
-						st.headMask[gp] |= 1 << uint(f.vc)
-					}
-				} else if st.ringN[vcIdx] == 1 && st.outPort[vcIdx] >= 0 {
-					// Body refills a drained routed lane.
-					st.busyMask[gp] |= 1 << uint(f.vc)
-				}
-			}
-			st.setOcc(to)
+	slot := int(t & st.calMask)
+	off := slot * st.calCap
+	if n := int(st.calFlitN[slot]); n > 0 {
+		ready := t + int64(s.cfg.RouterDelay)
+		for _, f := range st.calFlits[off : off+n] {
+			st.pushFlit(f.to, int(f.port), int(f.vc), flitRef{pkt: f.pkt, seq: f.seq, ready: ready})
+			st.setOcc(f.to)
 		}
-		if c.credits.len() > 0 && c.credits.front().arrive <= t {
-			crBase := (int(st.portBase[c.from]) + int(c.outPort)) * V
-			for c.credits.len() > 0 && c.credits.front().arrive <= t {
-				cr := c.credits.pop()
-				st.credits[crBase+int(cr.vc)]++
-			}
+		st.calFlitN[slot] = 0
+	}
+	if n := int(st.calCreditN[slot]); n > 0 {
+		for _, lane := range st.calCredits[off : off+n] {
+			st.credits[lane]++
 		}
+		st.calCreditN[slot] = 0
 	}
 }
 
@@ -342,17 +414,7 @@ func (s *Simulator) injectFlitsSoA(id int32, t int64) {
 	}
 	pid := *q.front()
 	seq := st.injSeq[id]
-	st.ringPush(vcIdx, flitRef{pkt: pid, seq: seq, ready: t + int64(s.cfg.RouterDelay)})
-	st.bufFlits[id]++
-	gp := base + nIn - 1
-	if seq == 0 {
-		st.needRoute[id]++
-		if st.ringN[vcIdx] == 1 && st.outPort[vcIdx] < 0 {
-			st.headMask[gp] |= 1 << uint(st.injVC[id])
-		}
-	} else if st.ringN[vcIdx] == 1 && st.outPort[vcIdx] >= 0 {
-		st.busyMask[gp] |= 1 << uint(st.injVC[id])
-	}
+	st.pushFlit(id, nIn-1, int(st.injVC[id]), flitRef{pkt: pid, seq: seq, ready: t + int64(s.cfg.RouterDelay)})
 	s.flitsInFlight++
 	// A flit entering the network is forward progress: without this the
 	// watchdog would mistake a long injection silence (bursty traces;
@@ -369,88 +431,99 @@ func (s *Simulator) injectFlitsSoA(id int32, t int64) {
 }
 
 // vcAllocSoA performs separable VC allocation over the router's flat
-// VC lanes. Only lanes with a headMask bit set — front flit is an
-// unrouted head — are inspected at all: the circular lane sweep
-// becomes a bit scan per port. The round-robin start is virtual: the
-// reference engine advances its pointer by exactly one every cycle
-// whether or not any request exists, so the pointer equals
-// t mod (numIn*V) at cycle t and needs no stored state.
+// VC lanes. Only ports with a headPorts bit, and within them only
+// lanes with a headMask bit — front flit is an unrouted head — are
+// inspected at all: the circular lane sweep becomes a bit scan over
+// ports and then over each port's lanes. The round-robin start is
+// virtual: the reference engine advances its pointer by exactly one
+// every cycle whether or not any request exists, so the pointer
+// equals t mod (numIn*V) at cycle t and needs no stored state.
 func (s *Simulator) vcAllocSoA(id int32, t int64) {
 	st := s.soa
 	base := int(st.portBase[id])
 	nIn := int(st.portBase[id+1]) - base
 	V := st.V
-	total := nIn * V
-	ej := nIn - 1
-	lane := base * V
-	start := int(t % int64(total))
+	start := int(t % int64(nIn*V))
 	p0, v0 := start/V, start%V
-	hm := st.headMask
-	// Circular sweep from lane (p0, v0): port p0's bits at or above v0
-	// first, then each following port in full, then port p0's bits
-	// below v0. Grants only clear bits of the port being visited, so
+	// Circular sweep from lane (p0, v0): port p0's lanes at or above
+	// v0 first, then each following port with waiting heads, then port
+	// p0's lanes below v0. Rotating the port mask right by p0 puts the
+	// ports in that order (bit k is port p0+k mod nIn). Grants only
+	// clear bits of the port being visited and set no head bit, so
 	// each lane is considered exactly once, in reference order.
-	for i := 0; i <= nIn; i++ {
-		p := p0 + i
+	hp := st.headPorts[id]
+	ports := (hp>>uint(p0) | hp<<uint(nIn-p0)) & (1<<uint(nIn) - 1) // nIn == 64 wraps to all ones
+	for ports != 0 {
+		k := bits.TrailingZeros64(ports)
+		ports &= ports - 1
+		p := p0 + k
 		if p >= nIn {
 			p -= nIn
 		}
-		gp := base + p
-		m := hm[gp]
-		if i == 0 {
+		m := st.headMask[base+p]
+		if k == 0 {
 			m &= ^uint64(0) << uint(v0)
-		} else if i == nIn {
-			m &= (1 << uint(v0)) - 1
 		}
-		for m != 0 {
-			v := bits.TrailingZeros64(m)
-			m &= m - 1
-			vcIdx := lane + p*V + v
-			head := st.ringFront(vcIdx)
-			if head.ready > t {
-				continue
-			}
-			pk := &s.packets[head.pkt]
-			if pk.dst == id {
-				// Ejection needs no VC allocation.
-				st.outPort[vcIdx] = int16(ej)
-				st.outVC[vcIdx] = 0
-				hm[gp] &^= 1 << uint(v)
-				st.busyMask[gp] |= 1 << uint(v)
-				st.needRoute[id]--
-				continue
-			}
+		s.vcAllocPortSoA(id, nIn, p, m, t)
+	}
+	if m := st.headMask[base+p0] & (1<<uint(v0) - 1); m != 0 {
+		s.vcAllocPortSoA(id, nIn, p0, m, t)
+	}
+}
+
+// vcAllocPortSoA tries to grant an output VC (or the ejection port)
+// to each lane of input port p of router id whose bit is set in m, in
+// ascending VC order. The output VC granted is the lowest free one of
+// the packet's class, like the reference engine's ascending owner
+// scan.
+func (s *Simulator) vcAllocPortSoA(id int32, nIn, p int, m uint64, t int64) {
+	st := s.soa
+	base := int(st.portBase[id])
+	gp := base + p
+	lane := gp * st.V
+	for m != 0 {
+		v := bits.TrailingZeros64(m)
+		m &= m - 1
+		vcIdx := lane + v
+		head := st.ringFront(vcIdx)
+		if head.ready > t {
+			continue
+		}
+		pk := &s.packets[head.pkt]
+		op, ov := nIn-1, 0 // ejection needs no VC allocation
+		if pk.dst != id {
 			hi := int(pk.hop)
-			class := pk.path.Classes[hi]
-			op := int(pk.ports[hi])
-			lo, hiVC := s.classVCRange(class)
-			ownBase := (base + op) * V
-			for ov := lo; ov < hiVC; ov++ {
-				if st.ovcOwner[ownBase+ov] < 0 {
-					st.ovcOwner[ownBase+ov] = int32(vcIdx - lane)
-					st.outPort[vcIdx] = int16(op)
-					st.outVC[vcIdx] = int16(ov)
-					hm[gp] &^= 1 << uint(v)
-					st.busyMask[gp] |= 1 << uint(v)
-					st.needRoute[id]--
-					break
-				}
+			op = int(pk.ports[hi])
+			free := st.ovcFree[base+op] & st.classMask[pk.path.Classes[hi]]
+			if free == 0 {
+				continue
 			}
+			ov = bits.TrailingZeros64(free)
+			st.ovcFree[base+op] &^= 1 << uint(ov)
 		}
+		st.outPort[vcIdx] = int16(op)
+		st.outVC[vcIdx] = int16(ov)
+		st.headMask[gp] &^= 1 << uint(v)
+		st.busyMask[gp] |= 1 << uint(v)
+		st.busyPorts[id] |= 1 << uint(p)
+	}
+	if st.headMask[gp] == 0 {
+		st.headPorts[id] &^= 1 << uint(p)
 	}
 }
 
 // switchAllocTraverseSoA performs separable (input-first) switch
 // allocation over the flat lanes and moves the winning flits. Input
-// arbitration considers only lanes with a busyMask bit set (routed
-// with flits buffered), scanning that port's bits circularly from its
-// round-robin pointer. Instead of walking every (output, input) pair,
-// input arbitration records each candidate in a per-output request
-// bitmask, and output arbitration resolves each requested port by
-// picking the first requester at or cyclically after its round-robin
-// pointer with two bit scans — the same winner the reference
-// engine's nested scan grants, because every input requests at most
-// one output and grants touch no other input's candidate state.
+// arbitration visits only ports with a busyPorts bit and considers
+// only lanes with a busyMask bit set (routed with flits buffered),
+// scanning that port's bits circularly from its round-robin pointer.
+// Instead of walking every (output, input) pair, input arbitration
+// records each candidate in a per-output request bitmask, and output
+// arbitration resolves each requested port by picking the first
+// requester at or cyclically after its round-robin pointer with two
+// bit scans — the same winner the reference engine's nested scan
+// grants, because every input requests at most one output and grants
+// touch no other input's candidate state.
 func (s *Simulator) switchAllocTraverseSoA(id int32, t int64) {
 	st := s.soa
 	base := int(st.portBase[id])
@@ -463,12 +536,10 @@ func (s *Simulator) switchAllocTraverseSoA(id int32, t int64) {
 	// a request bit on its output port.
 	cand := st.saCand[:nIn] // VC index per input port
 	reqOps := uint64(0)
-	for ip := 0; ip < nIn; ip++ {
+	for ports := st.busyPorts[id]; ports != 0; ports &= ports - 1 {
+		ip := bits.TrailingZeros64(ports)
 		gp := base + ip
 		m := st.busyMask[gp]
-		if m == 0 {
-			continue
-		}
 		rr := uint(st.saInRR[gp])
 		vcBase := lane + ip*V
 		mm := m >> rr
@@ -520,30 +591,36 @@ func (s *Simulator) switchAllocTraverseSoA(id int32, t int64) {
 }
 
 // traverseSoA moves one flit from input VC (ip, v) through output
-// port op of router id.
+// port op of router id, scheduling its arrival downstream and the
+// freed slot's credit upstream on the timing wheel.
 func (s *Simulator) traverseSoA(id int32, ip, v, op int, t int64) {
 	st := s.soa
 	base := int(st.portBase[id])
 	nIn := int(st.portBase[id+1]) - base
 	ej := nIn - 1 // also the injection port's local index
-	vcIdx := (base+ip)*st.V + v
+	gp := base + ip
+	vcIdx := gp*st.V + v
 	f := st.ringPop(vcIdx)
 	st.bufFlits[id]--
 	s.flitHops++
 	pk := &s.packets[f.pkt]
 	isTail := int(f.seq) == int(pk.plen)-1
 	outVC := st.outVC[vcIdx]
-	if isTail {
-		// The route is released; if another packet's head is already
-		// queued behind the tail it is now the (unrouted) front.
-		st.busyMask[base+ip] &^= 1 << uint(v)
-		if st.ringN[vcIdx] > 0 {
-			st.headMask[base+ip] |= 1 << uint(v)
+	if isTail || st.ringN[vcIdx] == 0 {
+		// A tail releases the route; a non-tail pop that drains the
+		// ring leaves the route claimed but nothing to arbitrate until
+		// the next body flit arrives. Either way the lane stops being
+		// busy.
+		st.busyMask[gp] &^= 1 << uint(v)
+		if st.busyMask[gp] == 0 {
+			st.busyPorts[id] &^= 1 << uint(ip)
 		}
-	} else if st.ringN[vcIdx] == 0 {
-		// Drained mid-packet: the route stays claimed but there is
-		// nothing to arbitrate until the next body flit arrives.
-		st.busyMask[base+ip] &^= 1 << uint(v)
+		if isTail && st.ringN[vcIdx] > 0 {
+			// Another packet's head queued behind the tail is now the
+			// (unrouted) front.
+			st.headMask[gp] |= 1 << uint(v)
+			st.headPorts[id] |= 1 << uint(ip)
+		}
 	}
 
 	if op == ej {
@@ -584,12 +661,15 @@ func (s *Simulator) traverseSoA(id int32, ip, v, op int, t int64) {
 		}
 	} else {
 		ci := st.outChans[id][op]
-		c := &s.chans[ci]
+		c := &st.chans[ci]
 		if f.seq == 0 {
 			// The head flit advances to the next router on its path.
 			pk.hop++
 		}
-		c.flits.push(timedFlit{pkt: f.pkt, seq: f.seq, vc: outVC, arrive: t + c.latency})
+		slot := int((t + c.latency) & st.calMask)
+		k := slot*st.calCap + int(st.calFlitN[slot])
+		st.calFlitN[slot]++
+		st.calFlits[k] = calFlit{pkt: f.pkt, to: c.to, seq: f.seq, port: c.inPort, vc: outVC}
 		if s.cfg.Tracer != nil {
 			s.cfg.Tracer.Trace(Event{Cycle: t, Kind: EvTraverse, Pkt: f.pkt, Seq: f.seq, Node: id, Peer: c.to, VC: outVC})
 		}
@@ -602,13 +682,16 @@ func (s *Simulator) traverseSoA(id int32, ip, v, op int, t int64) {
 
 	// Return a credit upstream for the freed buffer slot.
 	if ip != ej {
-		uc := &s.chans[st.inChans[id][ip]]
-		uc.credits.push(timedCredit{vc: int16(v), arrive: t + uc.latency})
+		uc := &st.chans[st.inChans[id][ip]]
+		slot := int((t + uc.latency) & st.calMask)
+		k := slot*st.calCap + int(st.calCreditN[slot])
+		st.calCreditN[slot]++
+		st.calCredits[k] = (st.portBase[uc.from]+int32(uc.outPort))*int32(st.V) + int32(v)
 	}
 
 	if isTail {
 		if op != ej {
-			st.ovcOwner[(base+op)*st.V+int(outVC)] = -1
+			st.ovcFree[base+op] |= 1 << uint(outVC)
 		}
 		st.outPort[vcIdx] = -1
 		st.outVC[vcIdx] = -1
