@@ -3,6 +3,7 @@ package noc
 import (
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"sparsehamming/internal/dse"
@@ -98,6 +99,23 @@ func TestEvalJobErrors(t *testing.T) {
 		if _, err := EvalJob(j); err == nil {
 			t.Errorf("EvalJob(%v) should fail", j)
 		}
+	}
+}
+
+// TestLoadJobRejectsOversizedBuffers: a buffer depth past the
+// engine's 16-bit ring and credit counters must fail the job with the
+// limit in its error — on the fresh-build path and through the shape
+// memo — instead of simulating a network that delivers nothing and
+// returning that as a result the cache would keep.
+func TestLoadJobRejectsOversizedBuffers(t *testing.T) {
+	j := exp.Job{Mode: exp.ModeLoad, Scenario: "a", Rows: 4, Cols: 4, Topo: "mesh", Load: 0.1, Seed: 1,
+		Arch: &exp.ArchOverride{BufDepthFlits: 40000}}
+	const limit = "range of 1 to 32767"
+	if res, err := EvalJob(j); err == nil || !strings.Contains(err.Error(), limit) {
+		t.Errorf("EvalJob: result %+v, err = %v, want the %q limit", res, err, limit)
+	}
+	if res, err := evalJobSched(j, nil, nil, newShapeMemo()); err == nil || !strings.Contains(err.Error(), limit) {
+		t.Errorf("memoized eval: result %+v, err = %v, want the %q limit", res, err, limit)
 	}
 }
 

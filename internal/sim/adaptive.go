@@ -1,10 +1,12 @@
 package sim
 
-// Adaptive saturation search: early-verdict probes plus speculative
-// parallel bisection. See the file comment in metrics.go for the
-// determinism argument; the short version is that the search consumes
-// exactly the sequential bisection's probe sequence, and speculation
-// only changes when those probes execute, never which ones count.
+// Saturation probes: the runs behind the bisection in metrics.go. On
+// the adaptive tier each probe runs under early-verdict monitors, and
+// spare scheduler slots run speculative probes ahead of the search.
+// See the file comment in metrics.go for the determinism argument;
+// the short version is that the search consumes exactly the
+// sequential bisection's probe sequence, and speculation only changes
+// when those probes execute, never which ones count.
 
 import (
 	"fmt"
@@ -32,19 +34,41 @@ type specProbe struct {
 
 // probeOutcome is one finished probe.
 type probeOutcome struct {
-	st  Stats
-	err error
+	st   Stats
+	err  error
+	span *obs.Span // the probe's trace span (nil when untraced)
 }
 
-// prober runs saturation probes for one adaptive search, managing the
+// prober runs the saturation probes of one search, managing the
 // speculation table.
 type prober struct {
-	cfg     Config  // base config (Defaults applied)
-	sh      *Shape  // shared build products; read-only, so concurrent speculative probes instantiate from it safely
-	ctl     Control // controller template (defaults applied)
+	cfg Config // base config (Defaults applied; Control and Span cleared)
+	sh  *Shape // shared build products; read-only, so concurrent speculative probes instantiate from it safely
+	// ctl is the adaptive tier's per-probe controller template
+	// (defaults applied); nil on the fixed tier, whose probes run
+	// their whole schedule and are never speculated.
+	ctl     *Control
 	zl      float64 // zero-load reference latency
 	span    *obs.Span
 	pending map[float64]*specProbe
+}
+
+// newProber sets up the probes of one search of cfg over sh: on the
+// adaptive tier when cfg.Control is set, on the fixed tier otherwise.
+func newProber(sh *Shape, cfg Config) *prober {
+	p := &prober{
+		cfg:     cfg,
+		sh:      sh,
+		span:    cfg.Span,
+		pending: map[float64]*specProbe{},
+	}
+	if cfg.Control != nil {
+		ctl := cfg.Control.withDefaults()
+		p.ctl = &ctl
+	}
+	p.cfg.Control = nil // probes attach their own per-probe controller
+	p.cfg.Span = nil    // probes attach their own per-probe span
+	return p
 }
 
 // run executes one probe at rate synchronously on the calling
@@ -55,22 +79,26 @@ func (p *prober) run(rate float64, interrupt <-chan struct{}, span *obs.Span) pr
 	c.Span = span
 	span.SetAttr("rate", rate)
 	clampDrain(&c, probeDrainFactor)
-	ctl := p.ctl
-	ctl.LatencyRef = p.zl
-	ctl.DecideLatency = latencyBlowupFactor * p.zl
-	ctl.Interrupt = interrupt
-	c.Control = &ctl
+	if p.ctl != nil {
+		ctl := *p.ctl
+		ctl.LatencyRef = p.zl
+		ctl.DecideLatency = latencyBlowupFactor * p.zl
+		ctl.Interrupt = interrupt
+		c.Control = &ctl
+	}
 	st, err := runShaped(p.sh, c)
 	span.End()
-	return probeOutcome{st: st, err: err}
+	return probeOutcome{st: st, err: err, span: span}
 }
 
 // speculate launches a probe at rate on a borrowed scheduler slot, if
 // one is free and the rate is not already in flight. Without a
 // scheduler (or capacity) it does nothing: the search then evaluates
-// the rate inline when — and only if — its verdict is needed.
+// the rate inline when — and only if — its verdict is needed. The
+// fixed tier never speculates: canceling a probe the search no longer
+// needs takes the adaptive monitors' interrupt polling.
 func (p *prober) speculate(rate float64) {
-	if p.cfg.Sched == nil {
+	if p.ctl == nil || p.cfg.Sched == nil {
 		return
 	}
 	if _, ok := p.pending[rate]; ok {
@@ -154,99 +182,23 @@ func (p *prober) budgetCap() int64 {
 	return int64(p.cfg.Warmup + p.cfg.Measure)
 }
 
-// adaptiveSaturation is the Control-enabled saturation search over
-// the search's shared Shape. anchor, when non-nil, memoizes the
-// zero-load reference run across sibling searches (see
-// SaturationThroughputAnchored); the adaptive tier can share it with
-// the fixed tiers because its zero-load run is pinned to the same
-// fixed schedule (the per-probe controller never attaches to it).
-func adaptiveSaturation(sh *Shape, cfg Config, anchor *ZeroLoadAnchor) (SaturationResult, error) {
-	p := &prober{
-		cfg:     cfg,
-		sh:      sh,
-		ctl:     cfg.Control.withDefaults(),
-		span:    cfg.Span,
-		pending: map[float64]*specProbe{},
+// probe evaluates the probe at rate and folds it into res: its work
+// always, its Stats and — on the adaptive tier — its cycles saved when
+// it succeeded. It returns the probe's saturation verdict.
+func (p *prober) probe(res *SaturationResult, rate float64) (bool, error) {
+	out := p.eval(rate)
+	res.SimCycles += out.st.Cycles
+	res.SimFlitHops += out.st.FlitHops
+	res.Probes++
+	if out.err != nil {
+		return false, out.err
 	}
-	p.cfg.Control = nil // probes attach their own per-probe controller
-	p.cfg.Span = nil    // probes attach their own per-probe span
-
-	// Zero-load reference run, on the exact fixed schedule: it is
-	// cheap (almost no flits move at 0.5% load), it is the headline
-	// ZeroLoadLatency, and — decisively — it anchors the 3x blowup
-	// threshold every probe's verdict compares against, so estimating
-	// it adaptively would let sampling noise shift all verdicts at
-	// once. Pinning it keeps the adaptive search's saturation answer
-	// in lockstep with the fixed-budget search.
-	zc := p.cfg
-	zc.Span = p.span.Child("zeroload")
-	zlStats, err := anchoredZeroLoad(sh, zc, anchor)
-	zc.Span.End()
-	if err != nil {
-		return SaturationResult{}, err
+	sat := satVerdict(out.st, p.zl, rate)
+	out.span.SetAttr("saturated", sat)
+	res.Samples = append(res.Samples, out.st)
+	if saved := p.budgetCap() - out.st.Cycles; p.ctl != nil && saved > 0 {
+		res.CyclesSaved += saved
+		counters.cyclesSaved.Add(saved)
 	}
-	zl := zlStats.AvgPacketLatency
-	p.zl = zl
-	res := SaturationResult{ZeroLoadLatency: zl}
-	res.SimCycles = zlStats.Cycles
-	res.SimFlitHops = zlStats.FlitHops
-
-	// account folds one consumed probe into the result.
-	account := func(rate float64, out probeOutcome) (bool, error) {
-		res.SimCycles += out.st.Cycles
-		res.SimFlitHops += out.st.FlitHops
-		res.Probes++
-		if out.err != nil {
-			return false, out.err
-		}
-		sat := satVerdict(out.st, zl, rate)
-		res.Samples = append(res.Samples, out.st)
-		if saved := p.budgetCap() - out.st.Cycles; saved > 0 {
-			res.CyclesSaved += saved
-			counters.cyclesSaved.Add(saved)
-		}
-		return sat, nil
-	}
-
-	lo, hi := 0.0, 1.0
-	// While the full-load probe runs, speculate on its (overwhelmingly
-	// likely) saturated outcome: the first midpoint.
-	p.speculate(0.5)
-	out := p.eval(1.0)
-	sat, err := account(1.0, out)
-	if err != nil {
-		p.cancelExcept(-1)
-		return res, err
-	}
-	if !sat {
-		p.cancelExcept(-1)
-		res.SaturationRate = 1.0
-		return res, nil
-	}
-
-	for i := 0; i < bisectionSteps; i++ {
-		mid := (lo + hi) / 2
-		if i < bisectionSteps-1 {
-			// Speculate the next midpoint for both possible verdicts
-			// of the probe at mid.
-			p.speculate((lo + mid) / 2)
-			p.speculate((mid + hi) / 2)
-		}
-		out := p.eval(mid)
-		sat, err := account(mid, out)
-		if err != nil {
-			p.cancelExcept(-1)
-			return res, err
-		}
-		if sat {
-			hi = mid
-			p.cancelExcept((lo + mid) / 2)
-		} else {
-			lo = mid
-			p.cancelExcept((mid + hi) / 2)
-		}
-	}
-	p.cancelExcept(-1)
-	finishSearch(&res, lo, hi)
-	return res, nil
+	return sat, nil
 }

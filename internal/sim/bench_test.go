@@ -46,20 +46,14 @@ func TestMain(m *testing.M) {
 	os.Exit(code)
 }
 
-// benchSim builds an 8x8 mesh simulator warmed up to steady state at
-// the given injection rate. ref selects the retained array-of-structs
-// reference engine instead of the SoA default.
-func benchSim(b *testing.B, rate float64, ref bool) *Simulator {
+// benchMesh returns a rows x cols mesh configuration with the
+// paper's router parameters (8 VCs x 32 flits, 4-flit packets) at the
+// given injection rate. Its far-off measurement window keeps the
+// benchmarks in the warmup regime, so no measurement bookkeeping
+// triggers.
+func benchMesh(b *testing.B, rows, cols int, rate float64) Config {
 	b.Helper()
-	cfg := Config{
-		Topo: nil, Routing: nil, NumVCs: 8, BufDepth: 32,
-		RouterDelay: 3, PacketLen: 4, InjectionRate: rate,
-		Seed: 1,
-		// A far-off measurement window: the benchmarks run in the
-		// warmup regime so no measurement bookkeeping triggers.
-		Warmup: 1 << 30, Measure: 1, Drain: 1,
-	}
-	m, err := topo.NewMesh(8, 8)
+	m, err := topo.NewMesh(rows, cols)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -67,9 +61,45 @@ func benchSim(b *testing.B, rate float64, ref bool) *Simulator {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg.Topo, cfg.Routing = m, r
-	cfg.reference = ref
-	s, err := New(cfg)
+	return Config{
+		Topo: m, Routing: r, NumVCs: 8, BufDepth: 32,
+		RouterDelay: 3, PacketLen: 4, InjectionRate: rate,
+		Seed: 1, Warmup: 1 << 30, Measure: 1, Drain: 1,
+	}
+}
+
+// benchMemPool returns MemPool's network configuration (tech.MemPool):
+// an 8x8 flattened butterfly carrying 1-flit packets over 2 VCs x
+// 2-flit buffers, at 0.2 flits/node/cycle. Every flit is a head that
+// needs a route and a VC, so it stresses VC allocation far more than
+// the mesh rungs do.
+func benchMemPool(b *testing.B) Config {
+	b.Helper()
+	fb, err := topo.NewFlattenedButterfly(8, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r, err := route.For(fb, route.Auto)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return Config{
+		Topo: fb, Routing: r, NumVCs: 2, BufDepth: 2,
+		RouterDelay: 3, PacketLen: 1, InjectionRate: 0.2,
+		Seed: 1, Warmup: 1 << 30, Measure: 1, Drain: 1,
+	}
+}
+
+// benchSim builds a simulator for cfg warmed up to steady state. ref
+// selects the retained array-of-structs reference engine instead of
+// the SoA engine.
+func benchSim(b *testing.B, cfg Config, ref bool) *Simulator {
+	b.Helper()
+	build := New
+	if ref {
+		build = newRef
+	}
+	s, err := build(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -79,10 +109,10 @@ func benchSim(b *testing.B, rate float64, ref bool) *Simulator {
 	return s
 }
 
-// stepBench times full cycles at one injection rate.
-func stepBench(b *testing.B, rate float64, ref bool) {
+// stepBench times full cycles of cfg's network.
+func stepBench(b *testing.B, cfg Config, ref bool) {
 	b.Helper()
-	s := benchSim(b, rate, ref)
+	s := benchSim(b, cfg, ref)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -90,43 +120,57 @@ func stepBench(b *testing.B, rate float64, ref bool) {
 	}
 }
 
-// BenchmarkStepIdle: cycle cost of an empty network (no injection) —
+// BenchmarkStepIdle: cycle cost of an empty 8x8 mesh (no injection) —
 // the floor every simulated cycle pays.
-func BenchmarkStepIdle(b *testing.B) { stepBench(b, 0, false) }
+func BenchmarkStepIdle(b *testing.B) { stepBench(b, benchMesh(b, 8, 8, 0), false) }
 
 // BenchmarkStepZeroLoad: the near-zero-load regime of the zero-load
 // latency reference runs (0.5% injection).
-func BenchmarkStepZeroLoad(b *testing.B) { stepBench(b, 0.005, false) }
+func BenchmarkStepZeroLoad(b *testing.B) { stepBench(b, benchMesh(b, 8, 8, 0.005), false) }
 
-// BenchmarkStepLoaded: a 30%-loaded network, representative of
+// BenchmarkStepLoaded: a 30%-loaded 8x8 mesh, representative of
 // mid-curve saturation probes.
-func BenchmarkStepLoaded(b *testing.B) { stepBench(b, 0.3, false) }
+func BenchmarkStepLoaded(b *testing.B) { stepBench(b, benchMesh(b, 8, 8, 0.3), false) }
 
 // BenchmarkStepSaturated: past saturation, every router busy — the
 // most expensive cycles of a saturation search.
-func BenchmarkStepSaturated(b *testing.B) { stepBench(b, 0.9, false) }
+func BenchmarkStepSaturated(b *testing.B) { stepBench(b, benchMesh(b, 8, 8, 0.9), false) }
+
+// BenchmarkStepMemPool: MemPool's router and packet configuration
+// (see benchMemPool), the costliest per flit-hop of the toolchain's
+// networks.
+func BenchmarkStepMemPool(b *testing.B) { stepBench(b, benchMemPool(b), false) }
+
+// BenchmarkStepMesh32: a 32x32 mesh at 10% injection, below its
+// uniform-traffic channel-load bound of 4/32 = 12.5%. It measures how
+// the occupancy scans and per-router masks behave on a grid sixteen
+// times the 8x8 rungs'.
+func BenchmarkStepMesh32(b *testing.B) { stepBench(b, benchMesh(b, 32, 32, 0.1), false) }
 
 // Reference-engine counterparts of the step benchmarks: the same
 // regimes on the retained array-of-structs layout, so the SoA win is
 // visible per regime in one -bench=BenchmarkStep run.
-func BenchmarkStepIdleRef(b *testing.B)      { stepBench(b, 0, true) }
-func BenchmarkStepZeroLoadRef(b *testing.B)  { stepBench(b, 0.005, true) }
-func BenchmarkStepLoadedRef(b *testing.B)    { stepBench(b, 0.3, true) }
-func BenchmarkStepSaturatedRef(b *testing.B) { stepBench(b, 0.9, true) }
+func BenchmarkStepIdleRef(b *testing.B)      { stepBench(b, benchMesh(b, 8, 8, 0), true) }
+func BenchmarkStepZeroLoadRef(b *testing.B)  { stepBench(b, benchMesh(b, 8, 8, 0.005), true) }
+func BenchmarkStepLoadedRef(b *testing.B)    { stepBench(b, benchMesh(b, 8, 8, 0.3), true) }
+func BenchmarkStepSaturatedRef(b *testing.B) { stepBench(b, benchMesh(b, 8, 8, 0.9), true) }
+func BenchmarkStepMemPoolRef(b *testing.B)   { stepBench(b, benchMemPool(b), true) }
+func BenchmarkStepMesh32Ref(b *testing.B)    { stepBench(b, benchMesh(b, 32, 32, 0.1), true) }
 
 // stageBench runs full cycles but times only the selected stage.
-func stageBench(b *testing.B, rate float64, stage func(s *Simulator, t int64)) {
+func stageBench(b *testing.B, rate float64, stage func(st *simState, t int64)) {
 	b.Helper()
-	s := benchSim(b, rate, false)
+	s := benchSim(b, benchMesh(b, 8, 8, rate), false)
+	st := soaOf(s)
 	b.ResetTimer()
 	b.StopTimer()
 	for i := 0; i < b.N; i++ {
 		t := s.now
-		s.deliverSoA(t)
+		st.deliver(t)
 		s.generate(t)
-		s.injectPhaseSoA(t)
+		st.injectPhase(t)
 		b.StartTimer()
-		stage(s, t)
+		stage(st, t)
 		b.StopTimer()
 		s.now++
 	}
@@ -136,10 +180,10 @@ func stageBench(b *testing.B, rate float64, stage func(s *Simulator, t int64)) {
 // occupied routers of a loaded network; switch allocation still runs
 // (off the clock) so the network keeps moving.
 func BenchmarkStageVCAlloc(b *testing.B) {
-	stageBench(b, 0.3, func(s *Simulator, t int64) {
-		s.vcAllocPhaseSoA(t)
+	stageBench(b, 0.3, func(st *simState, t int64) {
+		st.vcAllocPhase(t)
 		b.StopTimer()
-		s.switchPhaseSoA(t)
+		st.switchPhase(t)
 	})
 }
 
@@ -147,31 +191,32 @@ func BenchmarkStageVCAlloc(b *testing.B) {
 // kernel over the occupied routers of a loaded network; VC allocation
 // runs off the clock first.
 func BenchmarkStageSwitchAlloc(b *testing.B) {
-	stageBench(b, 0.3, func(s *Simulator, t int64) {
+	stageBench(b, 0.3, func(st *simState, t int64) {
 		b.StopTimer()
-		s.vcAllocPhaseSoA(t)
+		st.vcAllocPhase(t)
 		b.StartTimer()
-		s.switchPhaseSoA(t)
+		st.switchPhase(t)
 	})
 }
 
-// BenchmarkStageDeliver times deliverSoA directly: emptying one
+// BenchmarkStageDeliver times deliver directly: emptying one
 // timing-wheel slot of arriving flits and credits into the flat VC
 // lanes. It inverts stageBench's pattern: deliver is timed, the rest
 // runs off-timer.
 func BenchmarkStageDeliver(b *testing.B) {
-	s := benchSim(b, 0.3, false)
+	s := benchSim(b, benchMesh(b, 8, 8, 0.3), false)
+	st := soaOf(s)
 	b.ResetTimer()
 	b.StopTimer()
 	for i := 0; i < b.N; i++ {
 		t := s.now
 		b.StartTimer()
-		s.deliverSoA(t)
+		st.deliver(t)
 		b.StopTimer()
 		s.generate(t)
-		s.injectPhaseSoA(t)
-		s.vcAllocPhaseSoA(t)
-		s.switchPhaseSoA(t)
+		st.injectPhase(t)
+		st.vcAllocPhase(t)
+		st.switchPhase(t)
 		s.now++
 	}
 }
@@ -179,18 +224,19 @@ func BenchmarkStageDeliver(b *testing.B) {
 // BenchmarkStageGenerate times traffic generation plus source-queue
 // injection (phase 2, including the occupancy-bitmap inject scan).
 func BenchmarkStageGenerate(b *testing.B) {
-	s := benchSim(b, 0.3, false)
+	s := benchSim(b, benchMesh(b, 8, 8, 0.3), false)
+	st := soaOf(s)
 	b.ResetTimer()
 	b.StopTimer()
 	for i := 0; i < b.N; i++ {
 		t := s.now
-		s.deliverSoA(t)
+		st.deliver(t)
 		b.StartTimer()
 		s.generate(t)
-		s.injectPhaseSoA(t)
+		st.injectPhase(t)
 		b.StopTimer()
-		s.vcAllocPhaseSoA(t)
-		s.switchPhaseSoA(t)
+		st.vcAllocPhase(t)
+		st.switchPhase(t)
 		s.now++
 	}
 }
@@ -220,7 +266,6 @@ func BenchmarkEngineSoASpeedup(b *testing.B) {
 		for _, leg := range legs {
 			leg.Seed = int64(i + 1)
 
-			leg.reference = false
 			soaStart := time.Now()
 			soa, err := New(leg)
 			if err != nil {
@@ -229,9 +274,8 @@ func BenchmarkEngineSoASpeedup(b *testing.B) {
 			soaStats := soa.Run()
 			soaNs += time.Since(soaStart).Nanoseconds()
 
-			leg.reference = true
 			refStart := time.Now()
-			ref, err := New(leg)
+			ref, err := newRef(leg)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -275,7 +319,7 @@ func benchLadderConfig(b *testing.B) Config {
 var benchLadderRates = []float64{0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.7, 0.9}
 
 // BenchmarkShapeBuild times the shared build product alone: channel
-// wiring plus the pathPorts LUT — the per-topology cost a shared
+// wiring plus the pathHops LUT — the per-topology cost a shared
 // shape pays once.
 func BenchmarkShapeBuild(b *testing.B) {
 	cfg := benchLadderConfig(b)

@@ -248,17 +248,7 @@ func newCtlState(c Control, measure int) *ctlState {
 // queue. Growth of this figure across windows while the accepted rate
 // trails the offered rate is the saturation signature.
 func (s *Simulator) backlog() int64 {
-	queued := int64(0)
-	if st := s.soa; st != nil {
-		for i := range st.srcQ {
-			queued += int64(st.srcQ[i].len())
-		}
-	} else {
-		for _, r := range s.routers {
-			queued += int64(r.srcQ.len())
-		}
-	}
-	return s.flitsInFlight + queued*int64(s.cfg.PacketLen)
+	return s.flitsInFlight + s.eng.queued()*int64(s.cfg.PacketLen)
 }
 
 // controlCheck runs the per-window monitors at cycle t (a window

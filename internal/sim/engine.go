@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"sparsehamming/internal/obs"
-	"sparsehamming/internal/route"
 )
 
 // packet is one in-flight packet. Packet slots live in
@@ -17,13 +16,12 @@ import (
 type packet struct {
 	src, dst int32
 	inject   int64
-	measured bool
-	path     route.Path
-	// ports[i] is the precomputed output port taken at path.Tiles[i],
-	// shared with Simulator.pathPorts (never mutated).
-	ports []int16
-	// hop is the index in path.Tiles of the router currently holding
-	// the head flit; it advances when the head traverses a link, so VC
+	// hops[i] is the output port and VC class taken at the i-th router
+	// of the routed path, shared with the Shape's pathHops LUT (never
+	// mutated).
+	hops []hopStep
+	// hop is the index in hops of the router currently holding the
+	// head flit; it advances when the head traverses a link, so VC
 	// allocation never searches the path.
 	hop int16
 	// nextSeq is the flit sequence number the destination expects
@@ -33,7 +31,8 @@ type packet struct {
 	// plen is this packet's length in flits. Bernoulli traffic always
 	// uses Config.PacketLen; trace replay carries per-record sizes
 	// (bounded by trace.MaxPacketLen, so 16 bits suffice).
-	plen int16
+	plen     int16
+	measured bool
 }
 
 // Stats summarizes one simulation run.
@@ -107,27 +106,24 @@ func (s Stats) DeliveredFraction() float64 {
 
 // Simulator executes one configuration. Create with New, run with Run.
 //
+// The Simulator owns what every engine shares: the run loop and its
+// phase schedule, the packet pool, traffic generation, and the
+// statistics. The per-cycle router pipeline is the engine's: the
+// structure-of-arrays simState (soa.go), with flat per-(port, vc)
+// lanes indexed through the shape's portBase table and a link timing
+// wheel.
+//
 // The steady-state cycle loop (step and the phases it calls) performs
 // no heap allocations: packets are recycled through a free list, VC
 // buffers are fixed-capacity rings sized at build time, route and
 // output-port lookups are precomputed tables, and the allocators'
 // scratch bitmasks and the link timing wheel are preallocated with
-// the engine state (see simState). Dynamic queues (source queues, the
-// latency log) grow to the run's high-water mark during warmup and
-// are then reused.
+// the engine state. Dynamic queues (source queues, the latency log)
+// grow to the run's high-water mark during warmup and are then
+// reused.
 type Simulator struct {
 	cfg Config
-
-	// soa holds the default structure-of-arrays engine state: flat
-	// per-(port, vc) lanes indexed through the shape's portBase table
-	// and the link timing wheel (see soa.go). routers and chans hold
-	// the retained array-of-structs reference engine and its
-	// per-channel queues instead — non-nil only when cfg.reference is
-	// set, which in-package differential tests use as the oracle the
-	// SoA layout is verified bit-identical against (see reference.go).
-	soa     *simState
-	routers []*router
-	chans   []dchan
+	eng engine
 
 	n       int // router count
 	packets []packet
@@ -140,10 +136,10 @@ type Simulator struct {
 	freePkts []int32
 	noPool   bool
 
-	// pathPorts[src][dst][i] is the output port taken at hop i of the
-	// routed path src->dst, precomputed at build time so the hot path
-	// never searches neighbor lists.
-	pathPorts [][][]int16
+	// pathHops[src][dst] is the routed path src->dst as the engine
+	// consumes it (see Shape.pathHops), so the hot path never searches
+	// a path or a neighbor list.
+	pathHops [][][]hopStep
 
 	vcPerClass int
 
@@ -171,7 +167,23 @@ type Simulator struct {
 	latencyMax               int64
 	latencies                []int64
 	orderViolations          int64
-	linkFlits                []int64 // flits traversed per dchan in the window
+	linkFlits                []int64 // flits traversed per directed channel in the window
+}
+
+// engine is the per-cycle router pipeline of one replica. simState is
+// the only engine the package ships; the interface is the seam that
+// lets the differential tests run the same Simulator over a retained
+// array-of-structs oracle instead (reference_test.go).
+type engine interface {
+	// deliver lands the flits and credits that arrive at cycle t.
+	deliver(t int64)
+	// advance runs source injection, VC allocation, and switch
+	// allocation and traversal for cycle t.
+	advance(t int64)
+	// enqueue queues packet pid at its source router.
+	enqueue(src, pid int32)
+	// queued returns the number of packets waiting in source queues.
+	queued() int64
 }
 
 // watchdogCycles is how long the watchdog waits without any flit
@@ -191,32 +203,33 @@ func New(cfg Config) (*Simulator, error) {
 	return newShape(&cfg).instantiate(&cfg), nil
 }
 
-// instantiate allocates the mutable per-replica state — the flat SoA
-// lanes and link timing wheel (or, under cfg.reference, routers with
-// their VC rings, credit counters, and arbiter pointers plus the
-// directed-channel queues) — over the shape's shared wiring and
-// output-port LUT. cfg must be defaulted, validated, and match the
-// shape (see Instantiate for the checked public entry point).
+// instantiate builds one replica — the shared per-run state of
+// newReplica plus the SoA engine's flat lanes and link timing wheel —
+// over the shape's wiring and LUT. cfg must be defaulted, validated,
+// and match the shape (see Instantiate for the checked public entry
+// point).
 func (sh *Shape) instantiate(cfg *Config) *Simulator {
+	s := sh.newReplica(cfg)
+	s.eng = newSimState(s, sh)
+	return s
+}
+
+// newReplica allocates a replica's engine-independent state: the RNG,
+// the packet pool, the statistics, and the replay schedule. The caller
+// attaches the engine.
+func (sh *Shape) newReplica(cfg *Config) *Simulator {
 	s := &Simulator{
 		cfg:        *cfg,
 		rng:        rand.New(rand.NewSource(cfg.Seed)),
 		vcPerClass: cfg.NumVCs / cfg.Routing.NumClasses,
 		noPool:     cfg.Tracer != nil,
-		pathPorts:  sh.pathPorts,
+		pathHops:   sh.pathHops,
 		n:          sh.topo.NumTiles(),
 		linkFlits:  make([]int64, len(sh.chans)),
 	}
-	if cfg.reference {
-		s.instantiateRef(sh)
-	} else {
-		s.instantiateSoA(sh)
-	}
-
 	if rp, ok := cfg.Pattern.(*Replay); ok {
 		s.replaySched = rp.schedule(cfg.InjectionRate)
 	}
-
 	counters.simBuilds.Add(1)
 	return s
 }
@@ -397,15 +410,15 @@ func (p *phaseTrace) finish(t int64, st *Stats) {
 // step advances the network by one cycle. It runs the five-phase
 // router pipeline in a fixed order — link delivery, generation and
 // injection, VC allocation, switch allocation and traversal — and is
-// allocation-free in steady state (see the Simulator doc). The SoA
-// and reference engines execute the identical pipeline over their
-// respective layouts; the differential harness pins them bit-equal.
+// allocation-free in steady state (see the Simulator doc).
 func (s *Simulator) step(inject bool) {
-	if s.soa != nil {
-		s.stepSoA(inject)
-		return
+	t := s.now
+	s.eng.deliver(t)
+	if inject {
+		s.generate(t)
 	}
-	s.stepRef(inject)
+	s.eng.advance(t)
+	s.now++
 }
 
 // generate draws new packets for every node (Bernoulli process with
@@ -455,10 +468,9 @@ func (s *Simulator) pushPacket(src, dst int32, t int64, plen int16, measured boo
 		src:      src,
 		dst:      dst,
 		inject:   t,
-		measured: measured,
-		path:     s.cfg.Routing.Path(int(src), int(dst)),
-		ports:    s.pathPorts[src][dst],
+		hops:     s.pathHops[src][dst],
 		plen:     plen,
+		measured: measured,
 	}
 	if measured {
 		s.measInjected++
@@ -472,12 +484,7 @@ func (s *Simulator) pushPacket(src, dst int32, t int64, plen int16, measured boo
 		s.packets = append(s.packets, pk)
 		pid = int32(len(s.packets) - 1)
 	}
-	if st := s.soa; st != nil {
-		st.srcQ[src].push(pid)
-		st.setOcc(src)
-	} else {
-		s.routers[src].srcQ.push(pid)
-	}
+	s.eng.enqueue(src, pid)
 }
 
 // RunConfig is a convenience wrapper: build and run in one call.

@@ -7,7 +7,8 @@ package sim
 // whole-stack fingerprint — the trace format, the replay scheduler,
 // and the engine's cycle loop all have to reproduce bit-identically
 // for the suite to pass. Each pinned run is additionally executed as
-// a single-replica Batch and must match the sequential Stats exactly.
+// a replica of a separately built Shape (the differential harness's
+// Batch) and must match the fresh build's Stats exactly.
 //
 // Regenerate after an intentional engine change with
 //
@@ -27,7 +28,7 @@ import (
 	"sparsehamming/internal/trace"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_replay.json from the current engine")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the golden files under testdata/ from the current engine")
 
 // goldenTier is one pinned schedule; the windows mirror the noc
 // toolchain's quick and full quality tiers.
@@ -73,8 +74,8 @@ func goldenConfig(t *testing.T, tr *trace.Trace, tier goldenTier) Config {
 }
 
 // TestGoldenReplay replays every checked-in trace at both tiers,
-// compares the Stats against the golden file, and cross-checks the
-// batched engine against the sequential run.
+// compares the Stats against the golden file, and cross-checks a
+// shared-shape replica against the fresh build.
 func TestGoldenReplay(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join("..", "..", "examples", "traces", "*.trace"))
 	if err != nil {
@@ -106,14 +107,14 @@ func TestGoldenReplay(t *testing.T) {
 			}
 			got[key] = st
 
-			// The batched engine must reproduce the sequential run bit
+			// A shared-shape replica must reproduce the fresh build bit
 			// for bit even on the trace-driven injection path.
 			b, err := NewBatch(cfg, []Replica{{InjectionRate: cfg.InjectionRate, Seed: cfg.Seed}})
 			if err != nil {
 				t.Fatalf("%s: NewBatch: %v", key, err)
 			}
 			if bst := b.Run()[0]; bst != st {
-				t.Errorf("%s: batched replay diverges:\nbatched    %+v\nsequential %+v", key, bst, st)
+				t.Errorf("%s: shared-shape replay diverges:\nreplica %+v\nfresh   %+v", key, bst, st)
 			}
 		}
 	}

@@ -3,16 +3,17 @@ package sim
 // This file implements the two performance estimates the toolchain
 // reports (Figure 3): zero-load latency and saturation throughput.
 //
-// The saturation search runs in one of two modes. With a nil
-// Config.Control it is the classic fixed-budget binary search —
-// every probe burns its full Warmup+Measure(+clamped Drain) schedule
-// and the probes run strictly one after another — kept bit-identical
+// The saturation search is one bisection over the offered load,
+// anchored by a zero-load reference run. Its probes (adaptive.go)
+// come in two tiers. With a nil Config.Control every probe burns its
+// full Warmup+Measure(+clamped Drain) schedule and the probes run
+// strictly one after another — the fixed tier, kept bit-identical
 // across releases because the pinned evaluation artifacts depend on
-// it. With Config.Control set, the adaptive mode applies early-verdict
-// monitors to every probe (saturated probes stop in a small fraction
-// of their budget, stable probes stop once their latency confidence
-// interval converges) and, when Config.Sched provides spare worker
-// slots, speculatively issues the next bisection probes for both
+// it. With Config.Control set, every probe runs under early-verdict
+// monitors (saturated probes stop in a small fraction of their
+// budget, stable probes stop once their latency confidence interval
+// converges) and, when Config.Sched provides spare worker slots, the
+// search speculatively issues the next bisection probes for both
 // possible outcomes of the one in flight, canceling the probe the
 // verdict makes irrelevant. Speculation is wall-clock-only: the
 // probes whose verdicts the search consumes are exactly the
@@ -202,8 +203,8 @@ func satVerdict(st Stats, zl, rate float64) bool {
 
 // SaturationThroughput binary-searches the offered load for the
 // saturation point. The passed config's InjectionRate is ignored.
-// With Config.Control set the search is adaptive (early verdicts,
-// steady-state stopping, speculative parallel bisection over
+// With Config.Control set the search runs on the adaptive tier (early
+// verdicts, steady-state stopping, speculative parallel bisection over
 // Config.Sched); see the file comment.
 func SaturationThroughput(cfg Config) (SaturationResult, error) {
 	cfg.Defaults()
@@ -237,66 +238,62 @@ func SaturationThroughputAnchored(sh *Shape, cfg Config, anchor *ZeroLoadAnchor)
 			"sim: saturation search is undefined for trace replay pattern %q (sweep it with LoadLatencyCurve / mode \"load\")",
 			cfg.Pattern.Name())
 	}
-	if cfg.Control != nil {
-		return adaptiveSaturation(sh, cfg, anchor)
-	}
-	search := cfg.Span
-	zc := cfg
-	zc.Span = search.Child("zeroload")
+	p := newProber(sh, cfg)
+	defer p.cancelExcept(-1) // no speculative probe outlives the search
+
+	// Zero-load reference run, on the exact fixed schedule on both
+	// tiers: it is cheap (almost no flits move at 0.5% load), it is the
+	// headline ZeroLoadLatency, and — decisively — it anchors the 3x
+	// blowup threshold every probe's verdict compares against, so
+	// estimating it adaptively would let sampling noise shift all
+	// verdicts at once. Pinning it keeps the adaptive search's
+	// saturation answer in lockstep with the fixed-budget search, and
+	// lets the tiers share one anchor.
+	zc := p.cfg
+	zc.Span = p.span.Child("zeroload")
 	zlStats, err := anchoredZeroLoad(sh, zc, anchor)
 	zc.Span.End()
 	if err != nil {
 		return SaturationResult{}, err
 	}
-	zl := zlStats.AvgPacketLatency
-	res := SaturationResult{ZeroLoadLatency: zl}
-	res.SimCycles = zlStats.Cycles
-	res.SimFlitHops = zlStats.FlitHops
-
-	saturated := func(rate float64) (bool, Stats, error) {
-		c := cfg
-		c.InjectionRate = rate
-		c.Span = search.Child("probe")
-		c.Span.SetAttr("rate", rate)
-		// Shorter drain than the default: saturated runs never drain.
-		clampDrain(&c, probeDrainFactor)
-		st, err := runShaped(sh, c)
-		res.SimCycles += st.Cycles
-		res.SimFlitHops += st.FlitHops
-		res.Probes++
-		if err != nil {
-			c.Span.End()
-			return false, st, err
-		}
-		sat := satVerdict(st, zl, rate)
-		c.Span.SetAttr("saturated", sat)
-		c.Span.End()
-		return sat, st, nil
+	p.zl = zlStats.AvgPacketLatency
+	res := SaturationResult{
+		ZeroLoadLatency: p.zl,
+		SimCycles:       zlStats.Cycles,
+		SimFlitHops:     zlStats.FlitHops,
 	}
 
 	lo, hi := 0.0, 1.0
 	// Establish whether full load already saturates (it almost always
-	// does except for near-ideal networks).
-	if sat, st, err := saturated(1.0); err != nil {
+	// does except for near-ideal networks), speculating meanwhile on
+	// that outcome: the first midpoint.
+	p.speculate(0.5)
+	sat, err := p.probe(&res, 1.0)
+	if err != nil {
 		return res, err
-	} else if !sat {
-		res.Samples = append(res.Samples, st)
+	}
+	if !sat {
 		res.SaturationRate = 1.0
 		return res, nil
-	} else {
-		res.Samples = append(res.Samples, st)
 	}
 	for i := 0; i < bisectionSteps; i++ {
 		mid := (lo + hi) / 2
-		sat, st, err := saturated(mid)
+		if i < bisectionSteps-1 {
+			// Speculate the next midpoint for both possible verdicts
+			// of the probe at mid.
+			p.speculate((lo + mid) / 2)
+			p.speculate((mid + hi) / 2)
+		}
+		sat, err := p.probe(&res, mid)
 		if err != nil {
 			return res, err
 		}
-		res.Samples = append(res.Samples, st)
 		if sat {
 			hi = mid
+			p.cancelExcept((lo + mid) / 2)
 		} else {
 			lo = mid
+			p.cancelExcept((mid + hi) / 2)
 		}
 	}
 	finishSearch(&res, lo, hi)

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"sparsehamming/internal/obs"
 	"sparsehamming/internal/route"
@@ -78,13 +79,6 @@ type Config struct {
 	// never affects results and is not part of any job identity. The
 	// per-cycle hot path pays one nil check when unset.
 	Span *obs.Span
-
-	// reference selects the retained array-of-structs engine instead
-	// of the structure-of-arrays default (see reference.go). It is
-	// build-internal: only in-package differential tests and
-	// benchmarks set it, to use the old layout as the oracle the SoA
-	// engine is verified bit-identical against.
-	reference bool
 }
 
 // Defaults fills unset fields with the paper's evaluation defaults.
@@ -118,10 +112,13 @@ func (c *Config) Defaults() {
 // maxVCs and maxRouterPorts bound the configurations the engine can
 // hold: its allocators pack one bit per VC of a port, and one bit per
 // port of a router (the link ports plus the local
-// injection/ejection port), into a 64-bit word.
+// injection/ejection port), into a 64-bit word. maxFlits bounds the
+// VC buffer depth and the packet length: the engine keeps ring
+// positions, credit counts, and flit sequence numbers in 16 bits.
 const (
 	maxVCs         = 64
 	maxRouterPorts = 64
+	maxFlits       = math.MaxInt16
 )
 
 // Validate checks the configuration.
@@ -132,8 +129,17 @@ func (c *Config) Validate() error {
 	if c.Routing.Topo != c.Topo {
 		return fmt.Errorf("sim: routing was built for a different topology")
 	}
+	if c.NumVCs < 1 {
+		return fmt.Errorf("sim: %d VCs per port, need at least 1", c.NumVCs)
+	}
 	if c.NumVCs > maxVCs {
 		return fmt.Errorf("sim: %d VCs per port exceed the engine's limit of %d", c.NumVCs, maxVCs)
+	}
+	if c.BufDepth < 1 || c.BufDepth > maxFlits {
+		return fmt.Errorf("sim: VC buffer depth of %d flits outside the engine's range of 1 to %d", c.BufDepth, maxFlits)
+	}
+	if c.PacketLen < 1 || c.PacketLen > maxFlits {
+		return fmt.Errorf("sim: packet length of %d flits outside the engine's range of 1 to %d", c.PacketLen, maxFlits)
 	}
 	if ports := c.Topo.MaxRadix() + 1; ports > maxRouterPorts {
 		return fmt.Errorf("sim: a router with %d ports (radix %d plus the local port) exceeds the engine's limit of %d",
@@ -147,9 +153,6 @@ func (c *Config) Validate() error {
 	}
 	if c.InjectionRate < 0 || c.InjectionRate > 1 {
 		return fmt.Errorf("sim: injection rate %v outside [0,1]", c.InjectionRate)
-	}
-	if c.PacketLen < 1 {
-		return fmt.Errorf("sim: packet length %d < 1", c.PacketLen)
 	}
 	if rp, ok := c.Pattern.(*Replay); ok {
 		rows, cols := rp.Grid()
@@ -166,32 +169,6 @@ type flitRef struct {
 	pkt   int32
 	seq   int16
 	ready int64 // earliest cycle the flit may leave this router
-}
-
-// timedFlit is a flit in flight on a link.
-type timedFlit struct {
-	pkt    int32
-	seq    int16
-	vc     int16 // destination input VC
-	arrive int64
-}
-
-// timedCredit is a credit returning upstream on a link.
-type timedCredit struct {
-	vc     int16
-	arrive int64
-}
-
-// dchan is one directed channel between two routers, with the flit
-// and credit queues of the reference engine (the SoA engine keeps
-// in-flight flits and credits in its timing wheel instead).
-type dchan struct {
-	from, to int32
-	outPort  int16 // output port index at from
-	inPort   int16 // input port index at to
-	latency  int64
-	flits    queue[timedFlit]
-	credits  queue[timedCredit]
 }
 
 // queue is a simple FIFO with amortized O(1) operations. Its backing
@@ -218,91 +195,3 @@ func (q *queue[T]) pop() T {
 	}
 	return v
 }
-
-// flitRing is a fixed-capacity FIFO of flits, preallocated at build
-// time to the VC buffer depth. Unlike queue it never grows: credit
-// flow control guarantees a flit is only forwarded into buffer space
-// the upstream router holds a credit for, so push past capacity is a
-// protocol violation and panics.
-type flitRing struct {
-	items []flitRef
-	head  int
-	n     int
-}
-
-// init sizes the ring for depth flits.
-func (q *flitRing) init(depth int) { q.items = make([]flitRef, depth) }
-
-func (q *flitRing) len() int { return q.n }
-
-func (q *flitRing) push(v flitRef) {
-	if q.n == len(q.items) {
-		panic("sim: VC buffer overflow (credit accounting broken)")
-	}
-	i := q.head + q.n
-	if i >= len(q.items) {
-		i -= len(q.items)
-	}
-	q.items[i] = v
-	q.n++
-}
-
-func (q *flitRing) front() *flitRef { return &q.items[q.head] }
-
-func (q *flitRing) pop() flitRef {
-	v := q.items[q.head]
-	q.head++
-	if q.head == len(q.items) {
-		q.head = 0
-	}
-	q.n--
-	return v
-}
-
-// vcState is one virtual channel of one input port.
-type vcState struct {
-	buf     flitRing
-	outPort int16 // allocated output port for the packet in flight, -1 if none
-	outVC   int16 // allocated downstream VC, -1 if none
-}
-
-// router holds the per-node microarchitectural state.
-type router struct {
-	id       int32
-	inChans  []int32 // dchan index feeding input port i (len = degree)
-	outChans []int32 // dchan index driven by output port o
-	// Input ports: 0..deg-1 are links, port deg is injection.
-	vcs [][]vcState // [inPort][vc]
-	// Output ports: 0..deg-1 are links, port deg is ejection.
-	credits  [][]int16 // [outPort][vc]; ejection port has no credit limit
-	ovcOwner [][]int32 // [outPort][vc] = owning (inPort*V + vc), -1 free
-
-	vaRR    []int // per output port: round-robin over requesters
-	saInRR  []int // per input port: round-robin over VCs
-	saOutRR []int // per output port: round-robin over input ports
-
-	// saCand is the switch allocator's per-input candidate scratch,
-	// preallocated at build time so allocation runs allocation-free.
-	saCand []int16
-
-	// bufFlits counts the flits currently buffered in any of the
-	// router's input VCs. Routers with no buffered flits skip VC and
-	// switch allocation entirely — at low load most routers are idle
-	// most cycles, and this check is what makes them nearly free.
-	bufFlits int32
-
-	// needRoute counts buffered head flits that have not been granted
-	// an output VC yet. VC allocation scans the input VCs only while
-	// it is positive: each head is counted when it is buffered and
-	// uncounted when its VC wins an output VC (or the ejection port).
-	needRoute int32
-
-	srcQ   queue[int32] // packets awaiting injection
-	injSeq int16        // next flit seq of the packet currently injecting
-	injVC  int16        // VC chosen for the current packet, -1 if none
-}
-
-func (r *router) numIn() int   { return len(r.inChans) + 1 }
-func (r *router) numOut() int  { return len(r.outChans) + 1 }
-func (r *router) injPort() int { return len(r.inChans) }
-func (r *router) ejPort() int  { return len(r.outChans) }

@@ -99,41 +99,39 @@ func TestBuildPortWiring(t *testing.T) {
 	m, _ := topo.NewMesh(3, 3)
 	r, _ := route.For(m, route.Auto)
 	cfg := Config{Topo: m, Routing: r, NumVCs: 2, BufDepth: 2}
-	cfg.reference = true
-	s, err := New(cfg)
+	sh, err := NewShape(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Every directed channel's endpoints agree with the routers that
-	// reference it.
-	for i := range s.chans {
-		c := &s.chans[i]
-		from, to := s.routers[c.from], s.routers[c.to]
-		if from.outChans[c.outPort] != int32(i) {
+	// Every directed channel's endpoints agree with the routers' port
+	// wiring that references it.
+	for i := range sh.chans {
+		c := &sh.chans[i]
+		if sh.outChans[c.from][c.outPort] != int32(i) {
 			t.Fatalf("chan %d not wired to sender output port", i)
 		}
-		if to.inChans[c.inPort] != int32(i) {
+		if sh.inChans[c.to][c.inPort] != int32(i) {
 			t.Fatalf("chan %d not wired to receiver input port", i)
 		}
 	}
 	// Channel count = 2 * links.
-	if len(s.chans) != 2*m.NumLinks() {
-		t.Errorf("%d channels for %d links", len(s.chans), m.NumLinks())
+	if len(sh.chans) != 2*m.NumLinks() {
+		t.Errorf("%d channels for %d links", len(sh.chans), m.NumLinks())
 	}
 	// Degree-matched port counts plus injection/ejection.
-	center := s.routers[m.Index(topo.Coord{Row: 1, Col: 1})]
-	if center.numIn() != 5 || center.numOut() != 5 {
-		t.Errorf("center router ports in=%d out=%d, want 5", center.numIn(), center.numOut())
+	center := m.Index(topo.Coord{Row: 1, Col: 1})
+	if in, out := len(sh.inChans[center])+1, len(sh.outChans[center])+1; in != 5 || out != 5 {
+		t.Errorf("center router ports in=%d out=%d, want 5", in, out)
 	}
 
 	// The SoA engine's port-offset table agrees with the wiring: the
 	// center router owns 5 global ports, and the table covers every
 	// router exactly once.
-	soa, err := New(Config{Topo: m, Routing: r, NumVCs: 2, BufDepth: 2})
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pb := soa.soa.portBase
+	pb := soaOf(s).portBase
 	if len(pb) != m.NumTiles()+1 {
 		t.Fatalf("portBase has %d entries, want %d", len(pb), m.NumTiles()+1)
 	}

@@ -115,7 +115,7 @@ func TestPacketPoolReuseAfterRelease(t *testing.T) {
 
 // TestStepSteadyStateAllocFree is the AllocsPerRun == 0 guard on the
 // hot path: once warmed up, advancing the network must not allocate —
-// in either engine (the structure-of-arrays default and the retained
+// in either engine (the structure-of-arrays engine and the test-only
 // array-of-structs reference).
 func TestStepSteadyStateAllocFree(t *testing.T) {
 	m, err := topo.NewMesh(8, 8)
@@ -135,8 +135,11 @@ func TestStepSteadyStateAllocFree(t *testing.T) {
 				// drain/measure schedule never interferes.
 				Seed: 5, Warmup: 1 << 30, Measure: 1, Drain: 1,
 			}
-			cfg.reference = ref
-			s, err := New(cfg)
+			build := New
+			if ref {
+				build = newRef
+			}
+			s, err := build(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,24 +2,169 @@ package sim
 
 // The retained array-of-structs engine: per-router structs holding
 // per-port slices of VC state, exactly the layout the simulator used
-// before the structure-of-arrays refactor (see soa.go). It is kept
-// solely as the differential oracle — Config.reference selects it,
-// only in-package tests and benchmarks do, and the harness in
-// differential_test.go pins the SoA engine bit-identical to it across
-// every topology family, routing, load, adaptive controller, and
-// trace replay. It shares the surrounding run loop, packet pool,
-// traffic generation, and statistics with the SoA engine; only the
-// per-cycle router pipeline below differs.
+// before the structure-of-arrays engine (soa.go). It lives only in the
+// tests, as the differential oracle: newRef attaches it to a replica
+// through the engine seam, and soa_test.go pins the SoA engine
+// bit-identical to it across every topology family, routing, load,
+// adaptive controller, and trace replay. It shares the surrounding
+// run loop, packet pool, traffic generation, and statistics with the
+// SoA engine; only the per-cycle router pipeline below differs.
 
-// instantiateRef allocates the array-of-structs per-replica state:
+// refEngine is the reference engine's per-replica state: one router
+// struct per tile and the flit and credit queues of every directed
+// channel.
+type refEngine struct {
+	sim     *Simulator
+	routers []*router
+	chans   []dchan
+}
+
+// newRef builds a replica of cfg like New, running the reference
+// engine instead of the SoA engine.
+func newRef(cfg Config) (*Simulator, error) {
+	cfg.Defaults()
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	sh := newShape(&cfg)
+	s := sh.newReplica(&cfg)
+	s.eng = newRefEngine(s, sh)
+	return s, nil
+}
+
+// runRef builds and runs cfg on the reference engine, like RunConfig.
+func runRef(cfg Config) (Stats, error) {
+	s, err := newRef(cfg)
+	if err != nil {
+		return Stats{}, err
+	}
+	return s.Run(), nil
+}
+
+// timedFlit is a flit in flight on a link.
+type timedFlit struct {
+	pkt    int32
+	seq    int16
+	vc     int16 // destination input VC
+	arrive int64
+}
+
+// timedCredit is a credit returning upstream on a link.
+type timedCredit struct {
+	vc     int16
+	arrive int64
+}
+
+// dchan is one directed channel between two routers, with its flit
+// and credit queues (the SoA engine keeps in-flight flits and credits
+// in its timing wheel instead).
+type dchan struct {
+	from, to int32
+	outPort  int16 // output port index at from
+	inPort   int16 // input port index at to
+	latency  int64
+	flits    queue[timedFlit]
+	credits  queue[timedCredit]
+}
+
+// flitRing is a fixed-capacity FIFO of flits, preallocated at build
+// time to the VC buffer depth. Unlike queue it never grows: credit
+// flow control guarantees a flit is only forwarded into buffer space
+// the upstream router holds a credit for, so push past capacity is a
+// protocol violation and panics.
+type flitRing struct {
+	items []flitRef
+	head  int
+	n     int
+}
+
+// init sizes the ring for depth flits.
+func (q *flitRing) init(depth int) { q.items = make([]flitRef, depth) }
+
+func (q *flitRing) len() int { return q.n }
+
+func (q *flitRing) push(v flitRef) {
+	if q.n == len(q.items) {
+		panic("sim: VC buffer overflow (credit accounting broken)")
+	}
+	i := q.head + q.n
+	if i >= len(q.items) {
+		i -= len(q.items)
+	}
+	q.items[i] = v
+	q.n++
+}
+
+func (q *flitRing) front() *flitRef { return &q.items[q.head] }
+
+func (q *flitRing) pop() flitRef {
+	v := q.items[q.head]
+	q.head++
+	if q.head == len(q.items) {
+		q.head = 0
+	}
+	q.n--
+	return v
+}
+
+// vcState is one virtual channel of one input port.
+type vcState struct {
+	buf     flitRing
+	outPort int16 // allocated output port for the packet in flight, -1 if none
+	outVC   int16 // allocated downstream VC, -1 if none
+}
+
+// router holds the per-node microarchitectural state.
+type router struct {
+	id       int32
+	inChans  []int32 // dchan index feeding input port i (len = degree)
+	outChans []int32 // dchan index driven by output port o
+	// Input ports: 0..deg-1 are links, port deg is injection.
+	vcs [][]vcState // [inPort][vc]
+	// Output ports: 0..deg-1 are links, port deg is ejection.
+	credits  [][]int16 // [outPort][vc]; ejection port has no credit limit
+	ovcOwner [][]int32 // [outPort][vc] = owning (inPort*V + vc), -1 free
+
+	vaRR    []int // per output port: round-robin over requesters
+	saInRR  []int // per input port: round-robin over VCs
+	saOutRR []int // per output port: round-robin over input ports
+
+	// saCand is the switch allocator's per-input candidate scratch,
+	// preallocated at build time so allocation runs allocation-free.
+	saCand []int16
+
+	// bufFlits counts the flits currently buffered in any of the
+	// router's input VCs. Routers with no buffered flits skip VC and
+	// switch allocation entirely — at low load most routers are idle
+	// most cycles, and this check is what makes them nearly free.
+	bufFlits int32
+
+	// needRoute counts buffered head flits that have not been granted
+	// an output VC yet. VC allocation scans the input VCs only while
+	// it is positive: each head is counted when it is buffered and
+	// uncounted when its VC wins an output VC (or the ejection port).
+	needRoute int32
+
+	srcQ   queue[int32] // packets awaiting injection
+	injSeq int16        // next flit seq of the packet currently injecting
+	injVC  int16        // VC chosen for the current packet, -1 if none
+}
+
+func (r *router) numIn() int   { return len(r.inChans) + 1 }
+func (r *router) numOut() int  { return len(r.outChans) + 1 }
+func (r *router) injPort() int { return len(r.inChans) }
+func (r *router) ejPort() int  { return len(r.outChans) }
+
+// newRefEngine allocates the array-of-structs per-replica state of s:
 // one router struct per tile with its VC rings, credit counters, and
 // arbiter pointers, and one flit/credit queue pair per directed
 // channel.
-func (s *Simulator) instantiateRef(sh *Shape) {
-	s.chans = make([]dchan, len(sh.chans))
+func newRefEngine(s *Simulator, sh *Shape) *refEngine {
+	e := &refEngine{sim: s}
+	e.chans = make([]dchan, len(sh.chans))
 	for i := range sh.chans {
 		cs := &sh.chans[i]
-		s.chans[i] = dchan{
+		e.chans[i] = dchan{
 			from:    cs.from,
 			to:      cs.to,
 			outPort: cs.outPort,
@@ -27,7 +172,7 @@ func (s *Simulator) instantiateRef(sh *Shape) {
 			latency: cs.latency,
 		}
 	}
-	s.routers = make([]*router, s.n)
+	e.routers = make([]*router, s.n)
 	for id := 0; id < s.n; id++ {
 		deg := len(sh.inChans[id])
 		r := &router{
@@ -60,47 +205,50 @@ func (s *Simulator) instantiateRef(sh *Shape) {
 		r.saInRR = make([]int, deg+1)
 		r.saOutRR = make([]int, deg+1)
 		r.saCand = make([]int16, deg+1)
-		s.routers[id] = r
+		e.routers[id] = r
 	}
+	return e
 }
 
-// stepRef advances the reference engine by one cycle, visiting every
-// router in every phase (no idle skipping beyond each phase's own
-// early returns).
-func (s *Simulator) stepRef(inject bool) {
-	t := s.now
-
-	// Phase 1: deliver flits and credits that arrive this cycle.
-	s.deliver(t)
-
-	// Phase 2: traffic generation and source injection.
-	if inject {
-		s.generate(t)
-	}
-	for _, r := range s.routers {
-		s.injectFlits(r, t)
+// advance runs phases 2-5 of cycle t, visiting every router in every
+// phase (no idle skipping beyond each phase's own early returns).
+func (e *refEngine) advance(t int64) {
+	// Phase 2: source injection.
+	for _, r := range e.routers {
+		e.injectFlits(r, t)
 	}
 
 	// Phase 3: virtual-channel allocation.
-	for _, r := range s.routers {
-		s.vcAlloc(r, t)
+	for _, r := range e.routers {
+		e.vcAlloc(r, t)
 	}
 
 	// Phase 4+5: switch allocation and traversal.
-	for _, r := range s.routers {
-		s.switchAllocTraverse(r, t)
+	for _, r := range e.routers {
+		e.switchAllocTraverse(r, t)
 	}
+}
 
-	s.now++
+// enqueue queues packet pid at its source router.
+func (e *refEngine) enqueue(src, pid int32) { e.routers[src].srcQ.push(pid) }
+
+// queued returns the number of packets waiting in source queues.
+func (e *refEngine) queued() int64 {
+	n := int64(0)
+	for _, r := range e.routers {
+		n += int64(r.srcQ.len())
+	}
+	return n
 }
 
 // deliver moves flits and credits whose link latency has elapsed into
 // the downstream (respectively upstream) router.
-func (s *Simulator) deliver(t int64) {
-	for i := range s.chans {
-		c := &s.chans[i]
+func (e *refEngine) deliver(t int64) {
+	s := e.sim
+	for i := range e.chans {
+		c := &e.chans[i]
 		if c.flits.len() > 0 && c.flits.front().arrive <= t {
-			rt := s.routers[c.to]
+			rt := e.routers[c.to]
 			for c.flits.len() > 0 && c.flits.front().arrive <= t {
 				f := c.flits.pop()
 				vc := &rt.vcs[c.inPort][f.vc]
@@ -113,7 +261,7 @@ func (s *Simulator) deliver(t int64) {
 		}
 		for c.credits.len() > 0 && c.credits.front().arrive <= t {
 			cr := c.credits.pop()
-			s.routers[c.from].credits[c.outPort][cr.vc]++
+			e.routers[c.from].credits[c.outPort][cr.vc]++
 		}
 	}
 }
@@ -121,7 +269,8 @@ func (s *Simulator) deliver(t int64) {
 // injectFlits moves at most one flit per cycle from the source queue
 // into the injection port, choosing a VC of the packet's first hop
 // class for each new packet.
-func (s *Simulator) injectFlits(r *router, t int64) {
+func (e *refEngine) injectFlits(r *router, t int64) {
+	s := e.sim
 	if r.srcQ.len() == 0 {
 		return
 	}
@@ -132,8 +281,8 @@ func (s *Simulator) injectFlits(r *router, t int64) {
 		// in the same VC never interleave flits.
 		pk := &s.packets[*r.srcQ.front()]
 		class := int8(0)
-		if len(pk.path.Classes) > 0 {
-			class = pk.path.Classes[0]
+		if len(pk.hops) > 0 {
+			class = pk.hops[0].class
 		}
 		lo, hi := s.classVCRange(class)
 		best, bestFree := -1, 0
@@ -176,9 +325,11 @@ func (s *Simulator) injectFlits(r *router, t int64) {
 // vcAlloc performs separable VC allocation: every input VC whose head
 // is an unrouted head flit requests an output VC of its path's class;
 // output VCs are granted first-come in round-robin order over inputs.
-// The output port comes from the packet's precomputed port table and
-// the path position from its hop counter, so no searches happen here.
-func (s *Simulator) vcAlloc(r *router, t int64) {
+// The output port and VC class come from the packet's precomputed hop
+// table and the path position from its hop counter, so no searches
+// happen here.
+func (e *refEngine) vcAlloc(r *router, t int64) {
+	s := e.sim
 	nIn := r.numIn()
 	V := s.cfg.NumVCs
 	total := nIn * V
@@ -214,10 +365,9 @@ func (s *Simulator) vcAlloc(r *router, t int64) {
 			r.needRoute--
 			continue
 		}
-		hi := int(pk.hop)
-		class := pk.path.Classes[hi]
-		outPort := int(pk.ports[hi])
-		lo, hiVC := s.classVCRange(class)
+		h := pk.hops[pk.hop]
+		outPort := int(h.port)
+		lo, hiVC := s.classVCRange(h.class)
 		for ov := lo; ov < hiVC; ov++ {
 			if r.ovcOwner[outPort][ov] < 0 {
 				r.ovcOwner[outPort][ov] = int32(enc)
@@ -233,12 +383,12 @@ func (s *Simulator) vcAlloc(r *router, t int64) {
 // switchAllocTraverse performs separable (input-first) switch
 // allocation and moves the winning flits. Routers with no buffered
 // flits return immediately; the candidate scratch is preallocated.
-func (s *Simulator) switchAllocTraverse(r *router, t int64) {
+func (e *refEngine) switchAllocTraverse(r *router, t int64) {
 	if r.bufFlits == 0 {
 		return // no requests, no grants, no arbiter state changes
 	}
 	nIn, nOut := r.numIn(), r.numOut()
-	V := s.cfg.NumVCs
+	V := e.sim.cfg.NumVCs
 	ej := r.ejPort()
 
 	// Input arbitration: one candidate VC per input port.
@@ -286,7 +436,7 @@ func (s *Simulator) switchAllocTraverse(r *router, t int64) {
 			if v < 0 || int(r.vcs[cip][v].outPort) != op {
 				continue
 			}
-			s.traverse(r, cip, int(v), op, t)
+			e.traverse(r, cip, int(v), op, t)
 			r.saInRR[cip] = (int(v) + 1) % V
 			r.saOutRR[op] = (cip + 1) % nIn
 			break
@@ -295,7 +445,8 @@ func (s *Simulator) switchAllocTraverse(r *router, t int64) {
 }
 
 // traverse moves one flit from input VC (ip, v) through output port op.
-func (s *Simulator) traverse(r *router, ip, v, op int, t int64) {
+func (e *refEngine) traverse(r *router, ip, v, op int, t int64) {
+	s := e.sim
 	vc := &r.vcs[ip][v]
 	f := vc.buf.pop()
 	r.bufFlits--
@@ -341,7 +492,7 @@ func (s *Simulator) traverse(r *router, ip, v, op int, t int64) {
 		}
 	} else {
 		ci := r.outChans[op]
-		c := &s.chans[ci]
+		c := &e.chans[ci]
 		if f.seq == 0 {
 			// The head flit advances to the next router on its path.
 			pk.hop++
@@ -359,7 +510,7 @@ func (s *Simulator) traverse(r *router, ip, v, op int, t int64) {
 
 	// Return a credit upstream for the freed buffer slot.
 	if ip != r.injPort() {
-		uc := &s.chans[r.inChans[ip]]
+		uc := &e.chans[r.inChans[ip]]
 		uc.credits.push(timedCredit{vc: int16(v), arrive: t + uc.latency})
 	}
 

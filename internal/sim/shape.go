@@ -10,9 +10,9 @@ package sim
 // runs a zero-load reference plus up to eight probes, and a load
 // sweep one run per point, each of which used to rebuild the routers,
 // channel wiring, and — dominating everything — the per-(src,dst)
-// output-port LUT. A Shape computes all of that once; Instantiate
-// only allocates the mutable per-replica state (VC lanes, credit
-// counters, arbiter pointers, queues).
+// routing LUT. A Shape computes all of that once; Instantiate only
+// allocates the mutable per-replica state (VC lanes, credit counters,
+// arbiter pointers, source queues, the link timing wheel).
 //
 // Correctness is bit-level by construction: replicas share no mutable
 // state (the Shape is never written after NewShape returns) and each
@@ -29,8 +29,8 @@ import (
 )
 
 // chanShape is the immutable description of one directed channel:
-// endpoints, port numbers, and pipeline latency. The mutable flit and
-// credit queues live in the per-replica dchan.
+// endpoints, port numbers, and pipeline latency. The flits and
+// credits in flight on it live in each replica's link timing wheel.
 type chanShape struct {
 	from, to int32
 	outPort  int16
@@ -38,10 +38,17 @@ type chanShape struct {
 	latency  int64
 }
 
+// hopStep is one hop of a routed path as the engine consumes it: the
+// output port the head flit takes at the router holding it and the VC
+// class of the channel that port drives.
+type hopStep struct {
+	port  int16
+	class int8
+}
+
 // Shape is the replica-independent build product of one (topology,
 // routing, link-latency) configuration: the directed-channel layout,
-// the per-router channel wiring, and the per-(src,dst) output-port
-// LUT. It is read-only after NewShape returns and therefore safe to
+// the per-router channel wiring, and the per-(src,dst) routing LUT. It is read-only after NewShape returns and therefore safe to
 // share across replicas running concurrently (the adaptive saturation
 // search's speculative probes instantiate from one Shape on several
 // goroutines).
@@ -52,15 +59,16 @@ type Shape struct {
 
 	chans []chanShape
 
-	// inChans[id] / outChans[id] are the dchan indices feeding input
-	// port i / driven by output port o of router id. Routers reference
+	// inChans[id] / outChans[id] are the chans indices feeding input
+	// port i / driven by output port o of router id. Replicas reference
 	// these slices directly (they are never mutated).
 	inChans, outChans [][]int32
 
-	// pathPorts[src][dst][i] is the output port taken at hop i of the
-	// routed path src->dst. Packets reference rows of this table
-	// directly; it is the dominant build cost a Shape amortizes.
-	pathPorts [][][]int16
+	// pathHops[src][dst][i] is the output port and VC class taken at
+	// the i-th router of the routed path src->dst. Packets reference
+	// rows of this table directly; it is the dominant build cost a
+	// Shape amortizes.
+	pathHops [][][]hopStep
 
 	// portBase is the structure-of-arrays engine's port-offset table:
 	// router id owns the global ports [portBase[id], portBase[id+1])
@@ -153,9 +161,10 @@ func newShape(cfg *Config) *Shape {
 		}
 	}
 
-	// Precompute, per (src, dst) pair, the output port taken at every
-	// hop of the routed path, so neither VC allocation nor injection
-	// ever searches a path or a neighbor list at simulation time.
+	// Precompute, per (src, dst) pair, the output port and VC class
+	// taken at every hop of the routed path, so neither VC allocation
+	// nor injection ever searches a path or a neighbor list at
+	// simulation time.
 	portTo := make([][]int16, n)
 	for id := range portTo {
 		portTo[id] = make([]int16, n)
@@ -166,24 +175,24 @@ func newShape(cfg *Config) *Shape {
 	for _, c := range sh.chans {
 		portTo[c.from][c.to] = c.outPort
 	}
-	sh.pathPorts = make([][][]int16, n)
+	sh.pathHops = make([][][]hopStep, n)
 	for src := 0; src < n; src++ {
-		row := make([][]int16, n)
+		row := make([][]hopStep, n)
 		for dst := 0; dst < n; dst++ {
 			if src == dst {
 				continue
 			}
 			p := cfg.Routing.Path(src, dst)
-			pp := make([]int16, p.Hops())
-			for i := range pp {
-				pp[i] = portTo[p.Tiles[i]][p.Tiles[i+1]]
-				if pp[i] < 0 {
+			hops := make([]hopStep, p.Hops())
+			for i := range hops {
+				hops[i] = hopStep{port: portTo[p.Tiles[i]][p.Tiles[i+1]], class: p.Classes[i]}
+				if hops[i].port < 0 {
 					panic("sim: routed path uses a missing channel")
 				}
 			}
-			row[dst] = pp
+			row[dst] = hops
 		}
-		sh.pathPorts[src] = row
+		sh.pathHops[src] = row
 	}
 
 	counters.shapeBuilds.Add(1)

@@ -337,6 +337,38 @@ func TestConfigValidation(t *testing.T) {
 			t.Errorf("%d VCs: err = %v, want the VC limit error", vcs, err)
 		}
 	}
+	// Ring positions, credit counts, and flit sequence numbers are 16
+	// bits: buffer depths and packet lengths run from 1 to 32767 flits,
+	// and a port needs at least one VC. Defaults fills only zeros, so
+	// negative values reach Validate as set.
+	limits := []struct {
+		name               string
+		vcs, depth, length int
+		want               string // error substring; "" = valid
+	}{
+		{name: "largest depth and length", vcs: 2, depth: 32767, length: 32767},
+		{name: "depth past int16", vcs: 2, depth: 32768, length: 4, want: "buffer depth of 32768 flits outside the engine's range of 1 to 32767"},
+		{name: "depth of a rejected job", vcs: 2, depth: 40000, length: 4, want: "range of 1 to 32767"},
+		{name: "negative depth", vcs: 2, depth: -3, length: 4, want: "buffer depth of -3 flits"},
+		{name: "length past int16", vcs: 2, depth: 8, length: 32768, want: "packet length of 32768 flits outside the engine's range of 1 to 32767"},
+		{name: "negative length", vcs: 2, depth: 8, length: -1, want: "packet length of -1 flits"},
+		{name: "negative VCs", vcs: -2, depth: 8, length: 4, want: "-2 VCs per port, need at least 1"},
+	}
+	for _, tc := range limits {
+		c := Config{Topo: m, Routing: r, NumVCs: tc.vcs, BufDepth: tc.depth, PacketLen: tc.length}
+		c.Defaults()
+		err := c.Validate()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s rejected: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+	if _, err := New(Config{Topo: m, Routing: r, BufDepth: -3}); err == nil {
+		t.Error("New accepted a negative buffer depth")
+	}
+
 	for _, tiles := range []int{64, 65} {
 		fb, err := topo.NewFlattenedButterfly(1, tiles) // tiles ports per router
 		if err != nil {

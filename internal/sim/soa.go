@@ -14,9 +14,10 @@ package sim
 // output VCs through per-port free masks.
 //
 // The layout is behavior-invariant: the phases below compute exactly
-// the reference engine's sequence of state transitions (see
-// reference.go and the proof obligations spelled out next to each
-// divergence), and soa_test.go pins the two engines bit-identical
+// the state transitions of a plain array-of-structs engine that
+// visits every router, port, and VC (the proof obligations are
+// spelled out next to each divergence), and soa_test.go pins the two
+// bit-identical against the retained oracle in reference_test.go
 // across the full configuration matrix, multi-cycle links included.
 
 import "math/bits"
@@ -25,6 +26,8 @@ import "math/bits"
 // engine. All slices are allocated once at instantiate; the hot path
 // only indexes them.
 type simState struct {
+	sim *Simulator // the replica whose packets and statistics the pipeline updates
+
 	V int // VCs per port (Config.NumVCs)
 	D int // flits per VC ring (Config.BufDepth)
 
@@ -93,8 +96,8 @@ type simState struct {
 	// Per-global-port round-robin arbiter pointers (switch allocation)
 	// and the input-arbitration candidate scratch, sized to the widest
 	// router. The VC allocator's round-robin pointer needs no storage:
-	// the reference engine advances it by exactly one every cycle
-	// unconditionally, so it is always t mod (numIn*V).
+	// it advances by exactly one every cycle unconditionally, so it is
+	// always t mod (numIn*V).
 	saInRR  []int16
 	saOutRR []int16
 	saCand  []int16
@@ -143,9 +146,9 @@ func (st *simState) setOcc(id int32) {
 	st.occ[uint32(id)>>6] |= 1 << (uint32(id) & 63)
 }
 
-// instantiateSoA allocates the structure-of-arrays per-replica state
-// over the shape's offset tables.
-func (s *Simulator) instantiateSoA(sh *Shape) {
+// newSimState allocates the structure-of-arrays engine state of
+// replica s over the shape's offset tables.
+func newSimState(s *Simulator, sh *Shape) *simState {
 	V, D := s.cfg.NumVCs, s.cfg.BufDepth
 	P := sh.numPorts
 	maxLat := int64(1)
@@ -155,6 +158,7 @@ func (s *Simulator) instantiateSoA(sh *Shape) {
 	slots := 1 << bits.Len64(uint64(maxLat)) // smallest power of two > maxLat
 	nch := len(sh.chans)
 	st := &simState{
+		sim:        s,
 		V:          V,
 		D:          D,
 		portBase:   sh.portBase,
@@ -205,7 +209,7 @@ func (s *Simulator) instantiateSoA(sh *Shape) {
 	for i := range st.injVC {
 		st.injVC[i] = -1
 	}
-	s.soa = st
+	return st
 }
 
 // ringPush appends a flit to VC lane vcIdx's ring.
@@ -264,74 +268,71 @@ func (st *simState) ringPop(vcIdx int) flitRef {
 	return f
 }
 
-// stepSoA advances the SoA engine by one cycle: the same five-phase
-// pipeline as stepRef. Phase 1 touches only the timing-wheel slot of
-// this cycle; phases 2-5 visit only routers whose occupancy bit is
-// set, and within them VC allocation only routers and ports with a
-// headPorts bit, switch allocation only those with a busyPorts bit.
-// Skipping is safe because every phase's body is a no-op on what it
-// skips: injection returns on an empty source queue, VC allocation
-// considers only lanes with an unrouted head at the front (and its
-// round-robin pointer is virtual, so skipping mutates nothing), and
-// switch allocation without a busy lane makes no request and touches
-// no arbiter pointer. Scanning ascending ids preserves the reference
-// engine's visit order, so shared-state side effects (packet-pool
-// recycle order, latency log order, trace event order) are identical.
-func (s *Simulator) stepSoA(inject bool) {
-	t := s.now
-
-	// Phase 1: deliver flits and credits that arrive this cycle.
-	s.deliverSoA(t)
-
-	// Phase 2: traffic generation and source injection.
-	if inject {
-		s.generate(t)
-	}
-	s.injectPhaseSoA(t)
-
-	// Phase 3: virtual-channel allocation.
-	s.vcAllocPhaseSoA(t)
-
-	// Phase 4+5: switch allocation and traversal.
-	s.switchPhaseSoA(t)
-
-	s.now++
+// advance runs phases 2-5 of cycle t. They visit only routers whose
+// occupancy bit is set, and within them VC allocation only routers
+// and ports with a headPorts bit, switch allocation only those with a
+// busyPorts bit. Skipping is safe because every phase's body is a
+// no-op on what it skips: injection returns on an empty source queue,
+// VC allocation considers only lanes with an unrouted head at the
+// front (and its round-robin pointer is virtual, so skipping mutates
+// nothing), and switch allocation without a busy lane makes no
+// request and touches no arbiter pointer. Scanning ascending ids
+// preserves the visit order of an engine that visits every router,
+// so shared-state side effects (packet-pool recycle order, latency
+// log order, trace event order) are identical.
+func (st *simState) advance(t int64) {
+	st.injectPhase(t)
+	st.vcAllocPhase(t)
+	st.switchPhase(t)
 }
 
-// injectPhaseSoA runs source injection over the occupied routers.
-func (s *Simulator) injectPhaseSoA(t int64) {
-	st := s.soa
+// enqueue queues packet pid at its source router and marks the router
+// occupied.
+func (st *simState) enqueue(src, pid int32) {
+	st.srcQ[src].push(pid)
+	st.setOcc(src)
+}
+
+// queued returns the number of packets waiting in source queues.
+func (st *simState) queued() int64 {
+	n := int64(0)
+	for i := range st.srcQ {
+		n += int64(st.srcQ[i].len())
+	}
+	return n
+}
+
+// injectPhase runs source injection over the occupied routers.
+func (st *simState) injectPhase(t int64) {
 	for w, word := range st.occ {
 		base := int32(w << 6)
 		for word != 0 {
 			id := base + int32(bits.TrailingZeros64(word))
 			word &= word - 1
-			s.injectFlitsSoA(id, t)
+			st.injectFlits(id, t)
 		}
 	}
 }
 
-// vcAllocPhaseSoA runs VC allocation over the occupied routers that
+// vcAllocPhase runs VC allocation over the occupied routers that
 // have a lane with an unrouted head at its front.
-func (s *Simulator) vcAllocPhaseSoA(t int64) {
-	st := s.soa
+func (st *simState) vcAllocPhase(t int64) {
 	for w, word := range st.occ {
 		base := int32(w << 6)
 		for word != 0 {
 			id := base + int32(bits.TrailingZeros64(word))
 			word &= word - 1
 			if st.headPorts[id] != 0 {
-				s.vcAllocSoA(id, t)
+				st.vcAlloc(id, t)
 			}
 		}
 	}
 }
 
-// switchPhaseSoA runs switch allocation and traversal over the
+// switchPhase runs switch allocation and traversal over the
 // occupied routers with a busy lane, clearing the occupancy bit of
 // routers that drained this cycle.
-func (s *Simulator) switchPhaseSoA(t int64) {
-	st := s.soa
+func (st *simState) switchPhase(t int64) {
 	for w := range st.occ {
 		word := st.occ[w]
 		base := int32(w << 6)
@@ -339,7 +340,7 @@ func (s *Simulator) switchPhaseSoA(t int64) {
 			id := base + int32(bits.TrailingZeros64(word))
 			word &= word - 1
 			if st.busyPorts[id] != 0 {
-				s.switchAllocTraverseSoA(id, t)
+				st.switchAllocTraverse(id, t)
 			}
 			if st.bufFlits[id] == 0 && st.srcQ[id].len() == 0 {
 				st.occ[w] &^= 1 << (uint32(id) & 63)
@@ -348,18 +349,17 @@ func (s *Simulator) switchPhaseSoA(t int64) {
 	}
 }
 
-// deliverSoA moves the flits and credits of the timing-wheel slot of
+// deliver moves the flits and credits of the timing-wheel slot of
 // cycle t into the downstream (respectively upstream) router's lanes,
 // marking flit destinations occupied, and empties the slot. Each
 // directed channel feeds its own input port and returns credits to
 // its own output port, so the order of entries within a slot cannot
 // change the resulting state.
-func (s *Simulator) deliverSoA(t int64) {
-	st := s.soa
+func (st *simState) deliver(t int64) {
 	slot := int(t & st.calMask)
 	off := slot * st.calCap
 	if n := int(st.calFlitN[slot]); n > 0 {
-		ready := t + int64(s.cfg.RouterDelay)
+		ready := t + int64(st.sim.cfg.RouterDelay)
 		for _, f := range st.calFlits[off : off+n] {
 			st.pushFlit(f.to, int(f.port), int(f.vc), flitRef{pkt: f.pkt, seq: f.seq, ready: ready})
 			st.setOcc(f.to)
@@ -374,11 +374,11 @@ func (s *Simulator) deliverSoA(t int64) {
 	}
 }
 
-// injectFlitsSoA moves at most one flit per cycle from the source
+// injectFlits moves at most one flit per cycle from the source
 // queue into the injection port, choosing a VC of the packet's first
 // hop class for each new packet.
-func (s *Simulator) injectFlitsSoA(id int32, t int64) {
-	st := s.soa
+func (st *simState) injectFlits(id int32, t int64) {
+	s := st.sim
 	q := &st.srcQ[id]
 	if q.len() == 0 {
 		return
@@ -392,8 +392,8 @@ func (s *Simulator) injectFlitsSoA(id int32, t int64) {
 		// in the same VC never interleave flits.
 		pk := &s.packets[*q.front()]
 		class := int8(0)
-		if len(pk.path.Classes) > 0 {
-			class = pk.path.Classes[0]
+		if len(pk.hops) > 0 {
+			class = pk.hops[0].class
 		}
 		lo, hi := s.classVCRange(class)
 		best, bestFree := -1, 0
@@ -430,16 +430,17 @@ func (s *Simulator) injectFlitsSoA(id int32, t int64) {
 	}
 }
 
-// vcAllocSoA performs separable VC allocation over the router's flat
-// VC lanes. Only ports with a headPorts bit, and within them only
-// lanes with a headMask bit — front flit is an unrouted head — are
-// inspected at all: the circular lane sweep becomes a bit scan over
-// ports and then over each port's lanes. The round-robin start is
-// virtual: the reference engine advances its pointer by exactly one
-// every cycle whether or not any request exists, so the pointer
-// equals t mod (numIn*V) at cycle t and needs no stored state.
-func (s *Simulator) vcAllocSoA(id int32, t int64) {
-	st := s.soa
+// vcAlloc performs separable VC allocation over the router's flat VC
+// lanes: every lane whose front flit is an unrouted head requests an
+// output VC of its hop's class, and output VCs are granted
+// first-come in round-robin order over the router's lanes. Only ports
+// with a headPorts bit, and within them only lanes with a headMask
+// bit, are inspected at all: the circular lane sweep becomes a bit
+// scan over ports and then over each port's lanes. The round-robin
+// start is virtual: the pointer advances by exactly one every cycle
+// whether or not any request exists, so it equals t mod (numIn*V) at
+// cycle t and needs no stored state.
+func (st *simState) vcAlloc(id int32, t int64) {
 	base := int(st.portBase[id])
 	nIn := int(st.portBase[id+1]) - base
 	V := st.V
@@ -450,7 +451,7 @@ func (s *Simulator) vcAllocSoA(id int32, t int64) {
 	// p0's lanes below v0. Rotating the port mask right by p0 puts the
 	// ports in that order (bit k is port p0+k mod nIn). Grants only
 	// clear bits of the port being visited and set no head bit, so
-	// each lane is considered exactly once, in reference order.
+	// each lane is considered exactly once, in sweep order.
 	hp := st.headPorts[id]
 	ports := (hp>>uint(p0) | hp<<uint(nIn-p0)) & (1<<uint(nIn) - 1) // nIn == 64 wraps to all ones
 	for ports != 0 {
@@ -464,20 +465,19 @@ func (s *Simulator) vcAllocSoA(id int32, t int64) {
 		if k == 0 {
 			m &= ^uint64(0) << uint(v0)
 		}
-		s.vcAllocPortSoA(id, nIn, p, m, t)
+		st.vcAllocPort(id, nIn, p, m, t)
 	}
 	if m := st.headMask[base+p0] & (1<<uint(v0) - 1); m != 0 {
-		s.vcAllocPortSoA(id, nIn, p0, m, t)
+		st.vcAllocPort(id, nIn, p0, m, t)
 	}
 }
 
-// vcAllocPortSoA tries to grant an output VC (or the ejection port)
-// to each lane of input port p of router id whose bit is set in m, in
+// vcAllocPort tries to grant an output VC (or the ejection port) to
+// each lane of input port p of router id whose bit is set in m, in
 // ascending VC order. The output VC granted is the lowest free one of
-// the packet's class, like the reference engine's ascending owner
-// scan.
-func (s *Simulator) vcAllocPortSoA(id int32, nIn, p int, m uint64, t int64) {
-	st := s.soa
+// the hop's class, the first an ascending owner scan would find.
+func (st *simState) vcAllocPort(id int32, nIn, p int, m uint64, t int64) {
+	s := st.sim
 	base := int(st.portBase[id])
 	gp := base + p
 	lane := gp * st.V
@@ -492,9 +492,9 @@ func (s *Simulator) vcAllocPortSoA(id int32, nIn, p int, m uint64, t int64) {
 		pk := &s.packets[head.pkt]
 		op, ov := nIn-1, 0 // ejection needs no VC allocation
 		if pk.dst != id {
-			hi := int(pk.hop)
-			op = int(pk.ports[hi])
-			free := st.ovcFree[base+op] & st.classMask[pk.path.Classes[hi]]
+			h := pk.hops[pk.hop]
+			op = int(h.port)
+			free := st.ovcFree[base+op] & st.classMask[h.class]
 			if free == 0 {
 				continue
 			}
@@ -512,7 +512,7 @@ func (s *Simulator) vcAllocPortSoA(id int32, nIn, p int, m uint64, t int64) {
 	}
 }
 
-// switchAllocTraverseSoA performs separable (input-first) switch
+// switchAllocTraverse performs separable (input-first) switch
 // allocation over the flat lanes and moves the winning flits. Input
 // arbitration visits only ports with a busyPorts bit and considers
 // only lanes with a busyMask bit set (routed with flits buffered),
@@ -521,11 +521,10 @@ func (s *Simulator) vcAllocPortSoA(id int32, nIn, p int, m uint64, t int64) {
 // records each candidate in a per-output request bitmask, and output
 // arbitration resolves each requested port by picking the first
 // requester at or cyclically after its round-robin pointer with two
-// bit scans — the same winner the reference engine's nested scan
-// grants, because every input requests at most one output and grants
-// touch no other input's candidate state.
-func (s *Simulator) switchAllocTraverseSoA(id int32, t int64) {
-	st := s.soa
+// bit scans — the same winner a nested scan over outputs and then
+// inputs grants, because every input requests at most one output and
+// grants touch no other input's candidate state.
+func (st *simState) switchAllocTraverse(id int32, t int64) {
 	base := int(st.portBase[id])
 	nIn := int(st.portBase[id+1]) - base
 	V := st.V
@@ -570,7 +569,7 @@ func (s *Simulator) switchAllocTraverseSoA(id int32, t int64) {
 	}
 
 	// Output arbitration: one winner per requested output port, in
-	// ascending port order like the reference engine's output loop.
+	// ascending port order.
 	for reqOps != 0 {
 		op := bits.TrailingZeros64(reqOps)
 		reqOps &= reqOps - 1
@@ -584,17 +583,17 @@ func (s *Simulator) switchAllocTraverseSoA(id int32, t int64) {
 			cip = bits.TrailingZeros64(m)
 		}
 		v := int(cand[cip])
-		s.traverseSoA(id, cip, v, op, t)
+		st.traverse(id, cip, v, op, t)
 		st.saInRR[base+cip] = int16((v + 1) % V)
 		st.saOutRR[base+op] = int16((cip + 1) % nIn)
 	}
 }
 
-// traverseSoA moves one flit from input VC (ip, v) through output
+// traverse moves one flit from input VC (ip, v) through output
 // port op of router id, scheduling its arrival downstream and the
 // freed slot's credit upstream on the timing wheel.
-func (s *Simulator) traverseSoA(id int32, ip, v, op int, t int64) {
-	st := s.soa
+func (st *simState) traverse(id int32, ip, v, op int, t int64) {
+	s := st.sim
 	base := int(st.portBase[id])
 	nIn := int(st.portBase[id+1]) - base
 	ej := nIn - 1 // also the injection port's local index

@@ -3,7 +3,7 @@ package sim
 // Differential harness for the structure-of-arrays engine: every
 // configuration tuple runs once through the SoA engine (the default)
 // and once through the retained array-of-structs reference engine
-// (Config.reference), and the two Stats must be bit-identical. The
+// (reference_test.go), and the two Stats must be bit-identical. The
 // sweep reuses the batched harness's corpus machinery (diffFamilies,
 // diffCase) so the matrix covers every topology family, both routing
 // flavors, the whole load ladder, adaptive control, and trace replay,
@@ -31,6 +31,9 @@ func randomLinkLatencies(rng *rand.Rand, tp *topo.Topology) []int {
 	return lat
 }
 
+// soaOf returns the SoA engine state of a simulator built by New.
+func soaOf(s *Simulator) *simState { return s.eng.(*simState) }
+
 // runBothEngines runs one config through the SoA engine and the
 // reference engine and returns both Stats.
 func runBothEngines(t *testing.T, cfg Config) (soa, ref Stats) {
@@ -39,8 +42,7 @@ func runBothEngines(t *testing.T, cfg Config) (soa, ref Stats) {
 	if err != nil {
 		t.Fatalf("SoA run: %v", err)
 	}
-	cfg.reference = true
-	refStats, err := RunConfig(cfg)
+	refStats, err := runRef(cfg)
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
 	}
@@ -198,9 +200,9 @@ func TestOccupancyBitmapTracksActiveRouters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := s.soa
-	if st == nil {
-		t.Fatal("default engine is not the SoA engine")
+	st, ok := s.eng.(*simState)
+	if !ok {
+		t.Fatalf("New built a %T engine, want the SoA engine", s.eng)
 	}
 	check := func(cycle int, phase string) {
 		for id := 0; id < s.n; id++ {
@@ -237,7 +239,7 @@ func TestOccupancyBitmapTracksActiveRouters(t *testing.T) {
 // every ovcFree bit against the input lanes' output-VC grants.
 func checkMaskInvariants(t *testing.T, s *Simulator, cycle int) {
 	t.Helper()
-	st := s.soa
+	st := soaOf(s)
 	owned := make([]uint64, len(st.ovcFree))
 	for id := 0; id < s.n; id++ {
 		base := int(st.portBase[id])
@@ -302,7 +304,7 @@ func TestTimingWheelAndMasksDrainClean(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := s.soa
+		st := soaOf(s)
 		maxLat := 0
 		for _, l := range lat {
 			maxLat = max(maxLat, l)
