@@ -119,6 +119,28 @@ func TestLoadJobRejectsOversizedBuffers(t *testing.T) {
 	}
 }
 
+// TestPredictJobRejectsOversizedPipeline: a clock so fast that one
+// link takes a million cycles would have the engine size a timing
+// wheel slot for every one of them. The job must fail instead, with
+// the engine's pipeline limit in its error, on the fresh-build path
+// and through the shape memo. The build is resolved alone first: it
+// sizes no wheel, so a missing limit fails the test there and never
+// reaches a simulation.
+func TestPredictJobRejectsOversizedPipeline(t *testing.T) {
+	j := exp.Job{Mode: exp.ModePredict, Scenario: "a", Rows: 4, Cols: 4, Topo: "flattened-butterfly", Seed: 1,
+		Arch: &exp.ArchOverride{FreqHz: 1e15}}
+	const limit = "limit of 512 cycles"
+	if _, err := buildForJob(j, nil); err == nil || !strings.Contains(err.Error(), limit) {
+		t.Fatalf("build: err = %v, want the %q limit", err, limit)
+	}
+	if res, err := EvalJob(j); err == nil || !strings.Contains(err.Error(), limit) {
+		t.Errorf("EvalJob: result %+v, err = %v, want the %q limit", res, err, limit)
+	}
+	if res, err := evalJobSched(j, nil, nil, newShapeMemo()); err == nil || !strings.Contains(err.Error(), limit) {
+		t.Errorf("memoized eval: result %+v, err = %v, want the %q limit", res, err, limit)
+	}
+}
+
 // TestEvalJobMatchesPredictWith pins the adapter: a predict job
 // evaluates to exactly what the direct toolchain call produces.
 func TestEvalJobMatchesPredictWith(t *testing.T) {

@@ -200,7 +200,8 @@ func BenchmarkStageSwitchAlloc(b *testing.B) {
 }
 
 // BenchmarkStageDeliver times deliver directly: emptying one
-// timing-wheel slot of arriving flits and credits into the flat VC
+// timing-wheel slot of link flits and injected flits whose router
+// pipeline has passed, and of arriving credits, into the flat VC
 // lanes. It inverts stageBench's pattern: deliver is timed, the rest
 // runs off-timer.
 func BenchmarkStageDeliver(b *testing.B) {
@@ -222,7 +223,8 @@ func BenchmarkStageDeliver(b *testing.B) {
 }
 
 // BenchmarkStageGenerate times traffic generation plus source-queue
-// injection (phase 2, including the occupancy-bitmap inject scan).
+// injection onto the timing wheel (phase 2, including the
+// occupancy-bitmap inject scan).
 func BenchmarkStageGenerate(b *testing.B) {
 	s := benchSim(b, benchMesh(b, 8, 8, 0.3), false)
 	st := soaOf(s)

@@ -20,9 +20,10 @@ type packet struct {
 	// of the routed path, shared with the Shape's pathHops LUT (never
 	// mutated).
 	hops []hopStep
-	// hop is the index in hops of the router currently holding the
-	// head flit; it advances when the head traverses a link, so VC
-	// allocation never searches the path.
+	// hop is the index in hops of the next hop VC allocation resolves
+	// for the head flit; it advances once per router on the path (the
+	// SoA engine advances it when it grants the head an output VC), so
+	// VC allocation never searches the path.
 	hop int16
 	// nextSeq is the flit sequence number the destination expects
 	// next; it verifies in-order, loss-free, duplication-free

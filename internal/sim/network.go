@@ -27,7 +27,9 @@ type Config struct {
 
 	// RouterDelay is the router pipeline depth in cycles (route
 	// computation through switch traversal); a flit arriving at cycle
-	// t can leave no earlier than t + RouterDelay.
+	// t can leave no earlier than t + RouterDelay. 0 means the default
+	// of 3; the largest link latency plus RouterDelay may not exceed
+	// 512 cycles (maxPipeline).
 	RouterDelay int
 
 	// PacketLen is the number of flits per packet.
@@ -115,10 +117,17 @@ func (c *Config) Defaults() {
 // injection/ejection port), into a 64-bit word. maxFlits bounds the
 // VC buffer depth and the packet length: the engine keeps ring
 // positions, credit counts, and flit sequence numbers in 16 bits.
+// maxPipeline bounds the largest link latency plus RouterDelay, the
+// cycles a flit spends on the timing wheel, and so the wheel's slot
+// count (see soa.go). At their own grids, the links of scenarios a-d
+// take at most 14 cycles; the limit leaves room for synthetic
+// configurations such as the golden search whose 400-cycle links
+// outlast every probe.
 const (
 	maxVCs         = 64
 	maxRouterPorts = 64
 	maxFlits       = math.MaxInt16
+	maxPipeline    = 512
 )
 
 // Validate checks the configuration.
@@ -151,6 +160,17 @@ func (c *Config) Validate() error {
 	if c.LinkLatency != nil && len(c.LinkLatency) != c.Topo.NumLinks() {
 		return fmt.Errorf("sim: %d link latencies for %d links", len(c.LinkLatency), c.Topo.NumLinks())
 	}
+	if c.RouterDelay < 0 {
+		return fmt.Errorf("sim: router delay of %d cycles is negative", c.RouterDelay)
+	}
+	maxLat := 1 // latencies below one cycle run as one cycle
+	for _, l := range c.LinkLatency {
+		maxLat = max(maxLat, l)
+	}
+	if c.RouterDelay > maxPipeline || maxLat > maxPipeline-c.RouterDelay {
+		return fmt.Errorf("sim: a %d-cycle link plus the %d-cycle router pipeline exceeds the engine's limit of %d cycles",
+			maxLat, c.RouterDelay, maxPipeline)
+	}
 	if c.InjectionRate < 0 || c.InjectionRate > 1 {
 		return fmt.Errorf("sim: injection rate %v outside [0,1]", c.InjectionRate)
 	}
@@ -162,13 +182,6 @@ func (c *Config) Validate() error {
 		}
 	}
 	return nil
-}
-
-// flitRef identifies one flit: packet index and sequence number.
-type flitRef struct {
-	pkt   int32
-	seq   int16
-	ready int64 // earliest cycle the flit may leave this router
 }
 
 // queue is a simple FIFO with amortized O(1) operations. Its backing

@@ -67,6 +67,17 @@ type dchan struct {
 	credits  queue[timedCredit]
 }
 
+// flitRef is one flit buffered in a reference-engine VC: packet
+// index, sequence number, and the cycle its router pipeline ends. The
+// reference engine buffers a flit on arrival and skips it until then;
+// the SoA engine instead holds it on the timing wheel until that cycle
+// (see soa.go).
+type flitRef struct {
+	pkt   int32
+	seq   int16
+	ready int64 // earliest cycle the flit may leave this router
+}
+
 // flitRing is a fixed-capacity FIFO of flits, preallocated at build
 // time to the VC buffer depth. Unlike queue it never grows: credit
 // flow control guarantees a flit is only forwarded into buffer space

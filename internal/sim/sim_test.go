@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -367,6 +368,48 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Topo: m, Routing: r, BufDepth: -3}); err == nil {
 		t.Error("New accepted a negative buffer depth")
+	}
+
+	// A flit spends its link latency plus RouterDelay on the timing
+	// wheel, which has a slot per cycle of that: the largest latency
+	// plus RouterDelay may not exceed 512 cycles, and RouterDelay may
+	// not be negative (0 is the default, 3).
+	lats := func(l int) []int {
+		xs := make([]int, m.NumLinks())
+		for i := range xs {
+			xs[i] = l
+		}
+		xs[len(xs)-1] = 1 // the largest latency counts, not the last
+		return xs
+	}
+	pipelines := []struct {
+		name  string
+		delay int
+		lat   []int
+		want  string // error substring; "" = valid
+	}{
+		{name: "default delay", delay: 0},
+		{name: "largest pipeline", delay: 3, lat: lats(509)},
+		{name: "largest delay", delay: 511},
+		{name: "pipeline past the limit", delay: 3, lat: lats(510), want: "a 510-cycle link plus the 3-cycle router pipeline exceeds the engine's limit of 512 cycles"},
+		{name: "delay past the limit", delay: 512, want: "limit of 512 cycles"},
+		{name: "link of a huge clock", delay: 3, lat: lats(1031773), want: "limit of 512 cycles"},
+		{name: "delay that would overflow", delay: math.MaxInt, want: "limit of 512 cycles"},
+		{name: "negative delay", delay: -1, want: "router delay of -1 cycles is negative"},
+	}
+	for _, tc := range pipelines {
+		c := Config{Topo: m, Routing: r, RouterDelay: tc.delay, LinkLatency: tc.lat}
+		c.Defaults()
+		err := c.Validate()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s rejected: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+	if _, err := New(Config{Topo: m, Routing: r, RouterDelay: -2}); err == nil {
+		t.Error("New accepted a negative router delay")
 	}
 
 	for _, tiles := range []int{64, 65} {

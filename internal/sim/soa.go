@@ -6,12 +6,13 @@ package sim
 // [portBase[id], portBase[id+1]) — its link ports in neighbor order
 // plus the injection/ejection port last — and VC lane vcIdx =
 // globalPort*V + vc. The flit buffers of all VCs live in one ring
-// arena (flit slot vcIdx*D + pos), flits and credits in flight on the
-// links live in one timing wheel, and every scan the per-cycle phases
-// make is a bit scan: idle routers are skipped through a word-granular
-// occupancy bitmap, routers and ports with nothing to allocate through
-// per-router port masks, lanes through per-port VC masks, and busy
-// output VCs through per-port free masks.
+// arena (flit slot vcIdx*D + pos); flits on the links or in the router
+// pipeline and credits on the links live in one timing wheel; and
+// every scan the per-cycle phases make is a bit scan: idle routers are
+// skipped through a word-granular occupancy bitmap, routers and ports
+// with nothing to allocate through per-router port masks, lanes
+// through per-port VC masks, and busy output VCs through per-port
+// free masks.
 //
 // The layout is behavior-invariant: the phases below compute exactly
 // the state transitions of a plain array-of-structs engine that
@@ -19,6 +20,34 @@ package sim
 // spelled out next to each divergence), and soa_test.go pins the two
 // bit-identical against the retained oracle in reference_test.go
 // across the full configuration matrix, multi-cycle links included.
+//
+// The router pipeline delay lives on the timing wheel, not in the
+// lanes: a flit lands in its VC lane on the cycle it may first leave
+// the router (link arrival or injection plus RouterDelay), so every
+// buffered flit is ready and neither allocator tests readiness. The
+// reference engine instead buffers a flit on arrival and skips it
+// until its ready cycle. Both compute the same transitions:
+//
+//   - A lane is FIFO and every flit entering it waits the same
+//     RouterDelay, so ready cycles rise along the lane. The flits this
+//     engine holds in a lane are exactly the reference lane's ready
+//     prefix: the allocators, which look only at a lane's front flit,
+//     see the same front whenever it is ready and an empty lane
+//     whenever it is not.
+//   - The reference allocators skip a not-ready front without side
+//     effects: no grant, no credit, no arbiter pointer moves (the VC
+//     allocator's pointer is virtual, t mod lanes). Leaving its mask
+//     bit clear skips it the same way. Grants, output-VC ownership,
+//     credits, and arbiter pointers therefore evolve identically; the
+//     head and busy masks differ only by lanes whose fronts the
+//     reference would skip, and a flit landing on an empty lane sets
+//     them as its arrival would have.
+//   - The only decision that reads a lane's fill level is injection's
+//     VC choice and full-lane check, and it reads injection lanes
+//     only. injPend counts the injected flits still in the pipeline,
+//     so ringN + injPend is the reference engine's fill level.
+//   - A router whose flits are all still in the pipeline is skipped
+//     as idle; the reference visits it and skips every flit.
 
 import "math/bits"
 
@@ -48,8 +77,9 @@ type simState struct {
 	credits  []int16
 
 	// ring is the flit arena backing every VC buffer: the flit at ring
-	// position pos of lane vcIdx lives at ring[vcIdx*D + pos].
-	ring []flitRef
+	// position pos of lane vcIdx lives at ring[vcIdx*D + pos]. Every
+	// flit in it is ready to leave its router.
+	ring []laneFlit
 
 	// headMask and busyMask summarize the lanes of each global port
 	// as one bit per VC, so the allocator scans iterate set bits
@@ -102,10 +132,13 @@ type simState struct {
 	saOutRR []int16
 	saCand  []int16
 
-	// Per-router lanes.
+	// Per-router lanes. injPend[id*V+v] counts the flits injected into
+	// VC v of router id's injection port that are still in the router
+	// pipeline on the timing wheel.
 	bufFlits []int32
 	injVC    []int16
 	injSeq   []int16
+	injPend  []int16
 	srcQ     []queue[int32]
 
 	// occ is the occupancy bitmap: bit id is set while router id has
@@ -114,24 +147,43 @@ type simState struct {
 	// once the router drained. Phases 2-5 scan set bits only.
 	occ []uint64
 
-	// The link timing wheel: a calendar of calMask+1 slots (a power of
-	// two longer than the largest link latency), slot k holding the
-	// flits and credits that arrive on the cycles t with t&calMask ==
-	// k. Only cycles t+1 .. t+maxLatency can be pending at cycle t, so
-	// no two pending cycles share a slot. A channel carries at most
-	// one flit and one credit per cycle, so calCap — the directed
-	// channel count — bounds every slot, and slot k's entries live at
-	// [k*calCap, k*calCap+calFlitN[k]) of calFlits (respectively
-	// calCreditN[k] of calCredits, each the credits lane it refills).
+	// The timing wheel: a calendar of calMask+1 slots (a power of two
+	// longer than the largest link latency plus RouterDelay), slot k
+	// holding what lands on the cycles t with t&calMask == k. A flit
+	// that crosses a link at cycle t lands in its lane at t + latency +
+	// RouterDelay, its credit returns upstream at t + latency, and an
+	// injected flit lands in its injection lane at t + RouterDelay. So
+	// only cycles t+1 .. t+maxLatency+RouterDelay can be pending at
+	// cycle t, and no two pending cycles share a slot.
+	//
+	// A channel carries at most one flit and one credit per cycle, so
+	// calCap — the directed channel count — bounds the link entries of
+	// every slot: slot k's flits live at [k*calCap, k*calCap+calFlitN[k])
+	// of calFlits (respectively calCreditN[k] of calCredits, each the
+	// credits lane it refills). A router injects at most one flit per
+	// cycle, so slot k's injected flits live at [k*n, k*n+calInjN[k])
+	// of calInj, n the router count.
+	delay      int64 // Config.RouterDelay
 	calMask    int64
 	calCap     int
 	calFlits   []calFlit
 	calFlitN   []int32
 	calCredits []int32
 	calCreditN []int32
+	calInj     []calFlit
+	calInjN    []int32
 }
 
-// calFlit is one flit in flight on a link, with the router, local
+// laneFlit is one flit buffered in a VC lane: packet index, sequence
+// number, and whether it is the packet's tail, so that moving a flit
+// reads its packet only on ejection.
+type laneFlit struct {
+	pkt  int32
+	seq  int16
+	tail bool
+}
+
+// calFlit is one flit on the timing wheel, with the router, local
 // input port, and VC it is bound for.
 type calFlit struct {
 	pkt  int32
@@ -139,6 +191,7 @@ type calFlit struct {
 	seq  int16
 	port int16
 	vc   int16
+	tail bool
 }
 
 // setOcc marks router id as occupied.
@@ -155,7 +208,10 @@ func newSimState(s *Simulator, sh *Shape) *simState {
 	for i := range sh.chans {
 		maxLat = max(maxLat, sh.chans[i].latency)
 	}
-	slots := 1 << bits.Len64(uint64(maxLat)) // smallest power of two > maxLat
+	delay := int64(s.cfg.RouterDelay)
+	// The smallest power of two > maxLat + delay. Config.Validate
+	// bounds the sum by maxPipeline, and so the wheel.
+	slots := 1 << bits.Len64(uint64(maxLat+delay))
 	nch := len(sh.chans)
 	st := &simState{
 		sim:        s,
@@ -170,7 +226,7 @@ func newSimState(s *Simulator, sh *Shape) *simState {
 		ringHead:   make([]int16, P*V),
 		ringN:      make([]int16, P*V),
 		credits:    make([]int16, P*V),
-		ring:       make([]flitRef, P*V*D),
+		ring:       make([]laneFlit, P*V*D),
 		headMask:   make([]uint64, P),
 		busyMask:   make([]uint64, P),
 		headPorts:  make([]uint64, s.n),
@@ -184,14 +240,18 @@ func newSimState(s *Simulator, sh *Shape) *simState {
 		bufFlits:   make([]int32, s.n),
 		injVC:      make([]int16, s.n),
 		injSeq:     make([]int16, s.n),
+		injPend:    make([]int16, s.n*V),
 		srcQ:       make([]queue[int32], s.n),
 		occ:        make([]uint64, (s.n+63)/64),
+		delay:      delay,
 		calMask:    int64(slots - 1),
 		calCap:     nch,
 		calFlits:   make([]calFlit, slots*nch),
 		calFlitN:   make([]int32, slots),
 		calCredits: make([]int32, slots*nch),
 		calCreditN: make([]int32, slots),
+		calInj:     make([]calFlit, slots*s.n),
+		calInjN:    make([]int32, slots),
 	}
 	for i := range st.outPort {
 		st.outPort[i] = -1
@@ -213,7 +273,7 @@ func newSimState(s *Simulator, sh *Shape) *simState {
 }
 
 // ringPush appends a flit to VC lane vcIdx's ring.
-func (st *simState) ringPush(vcIdx int, f flitRef) {
+func (st *simState) ringPush(vcIdx int, f laneFlit) {
 	n := int(st.ringN[vcIdx])
 	if n == st.D {
 		panic("sim: flit ring overflow (credit flow control broken)")
@@ -230,7 +290,7 @@ func (st *simState) ringPush(vcIdx int, f flitRef) {
 // updates the router's flit count and masks: a head pushed onto an
 // empty unrouted lane makes it a waiting head, and a body flit pushed
 // onto a drained routed lane makes it busy again.
-func (st *simState) pushFlit(id int32, p, v int, f flitRef) {
+func (st *simState) pushFlit(id int32, p, v int, f laneFlit) {
 	gp := int(st.portBase[id]) + p
 	vcIdx := gp*st.V + v
 	st.ringPush(vcIdx, f)
@@ -251,12 +311,12 @@ func (st *simState) pushFlit(id int32, p, v int, f flitRef) {
 
 // ringFront returns the head flit of lane vcIdx (which must be
 // non-empty).
-func (st *simState) ringFront(vcIdx int) *flitRef {
+func (st *simState) ringFront(vcIdx int) *laneFlit {
 	return &st.ring[vcIdx*st.D+int(st.ringHead[vcIdx])]
 }
 
 // ringPop removes and returns the head flit of lane vcIdx.
-func (st *simState) ringPop(vcIdx int) flitRef {
+func (st *simState) ringPop(vcIdx int) laneFlit {
 	h := int(st.ringHead[vcIdx])
 	f := st.ring[vcIdx*st.D+h]
 	h++
@@ -350,21 +410,31 @@ func (st *simState) switchPhase(t int64) {
 }
 
 // deliver moves the flits and credits of the timing-wheel slot of
-// cycle t into the downstream (respectively upstream) router's lanes,
-// marking flit destinations occupied, and empties the slot. Each
-// directed channel feeds its own input port and returns credits to
-// its own output port, so the order of entries within a slot cannot
-// change the resulting state.
+// cycle t into the lanes they are bound for — link flits and injected
+// flits now ready to leave their router, credits back at the upstream
+// router — marking flit destinations occupied, and empties the slot.
+// Each directed channel feeds its own input port and returns credits
+// to its own output port, and injected flits feed the injection port,
+// so the order of entries within a slot cannot change the resulting
+// state.
 func (st *simState) deliver(t int64) {
 	slot := int(t & st.calMask)
 	off := slot * st.calCap
 	if n := int(st.calFlitN[slot]); n > 0 {
-		ready := t + int64(st.sim.cfg.RouterDelay)
 		for _, f := range st.calFlits[off : off+n] {
-			st.pushFlit(f.to, int(f.port), int(f.vc), flitRef{pkt: f.pkt, seq: f.seq, ready: ready})
+			st.pushFlit(f.to, int(f.port), int(f.vc), laneFlit{pkt: f.pkt, seq: f.seq, tail: f.tail})
 			st.setOcc(f.to)
 		}
 		st.calFlitN[slot] = 0
+	}
+	if n := int(st.calInjN[slot]); n > 0 {
+		ioff := slot * st.sim.n
+		for _, f := range st.calInj[ioff : ioff+n] {
+			st.injPend[int(f.to)*st.V+int(f.vc)]--
+			st.pushFlit(f.to, int(f.port), int(f.vc), laneFlit{pkt: f.pkt, seq: f.seq, tail: f.tail})
+			st.setOcc(f.to)
+		}
+		st.calInjN[slot] = 0
 	}
 	if n := int(st.calCreditN[slot]); n > 0 {
 		for _, lane := range st.calCredits[off : off+n] {
@@ -375,8 +445,10 @@ func (st *simState) deliver(t int64) {
 }
 
 // injectFlits moves at most one flit per cycle from the source
-// queue into the injection port, choosing a VC of the packet's first
-// hop class for each new packet.
+// queue into the injection port's router pipeline, choosing a VC of
+// the packet's first hop class for each new packet. The flit lands in
+// its lane RouterDelay cycles later; until then injPend holds its
+// place, so a lane's fill level is ringN + injPend.
 func (st *simState) injectFlits(id int32, t int64) {
 	s := st.sim
 	q := &st.srcQ[id]
@@ -386,6 +458,7 @@ func (st *simState) injectFlits(id int32, t int64) {
 	base := int(st.portBase[id])
 	nIn := int(st.portBase[id+1]) - base
 	injBase := (base + nIn - 1) * st.V // injection port is the last
+	pend := st.injPend[int(id)*st.V : int(id+1)*st.V]
 	if st.injVC[id] < 0 {
 		// Pick the emptiest VC of the packet's first-hop class.
 		// Injection is serialized packet-by-packet, so packets queued
@@ -398,7 +471,7 @@ func (st *simState) injectFlits(id int32, t int64) {
 		lo, hi := s.classVCRange(class)
 		best, bestFree := -1, 0
 		for v := lo; v < hi; v++ {
-			if free := st.D - int(st.ringN[injBase+v]); free > bestFree {
+			if free := st.D - int(st.ringN[injBase+v]) - int(pend[v]); free > bestFree {
 				best, bestFree = v, free
 			}
 		}
@@ -408,23 +481,28 @@ func (st *simState) injectFlits(id int32, t int64) {
 		st.injVC[id] = int16(best)
 		st.injSeq[id] = 0
 	}
-	vcIdx := injBase + int(st.injVC[id])
-	if int(st.ringN[vcIdx]) >= st.D {
+	vc := st.injVC[id]
+	if int(st.ringN[injBase+int(vc)])+int(pend[vc]) >= st.D {
 		return
 	}
 	pid := *q.front()
 	seq := st.injSeq[id]
-	st.pushFlit(id, nIn-1, int(st.injVC[id]), flitRef{pkt: pid, seq: seq, ready: t + int64(s.cfg.RouterDelay)})
+	tail := int(seq+1) == int(s.packets[pid].plen)
+	slot := int((t + st.delay) & st.calMask)
+	k := slot*s.n + int(st.calInjN[slot])
+	st.calInjN[slot]++
+	st.calInj[k] = calFlit{pkt: pid, to: id, seq: seq, port: int16(nIn - 1), vc: vc, tail: tail}
+	pend[vc]++
 	s.flitsInFlight++
 	// A flit entering the network is forward progress: without this the
 	// watchdog would mistake a long injection silence (bursty traces;
 	// never Bernoulli traffic) followed by one injection for a deadlock.
 	s.lastProgress = t
 	if s.cfg.Tracer != nil {
-		s.cfg.Tracer.Trace(Event{Cycle: t, Kind: EvInject, Pkt: pid, Seq: seq, Node: id, Peer: s.packets[pid].dst, VC: st.injVC[id]})
+		s.cfg.Tracer.Trace(Event{Cycle: t, Kind: EvInject, Pkt: pid, Seq: seq, Node: id, Peer: s.packets[pid].dst, VC: vc})
 	}
 	st.injSeq[id] = seq + 1
-	if int(seq+1) == int(s.packets[pid].plen) {
+	if tail {
 		q.pop()
 		st.injVC[id] = -1
 	}
@@ -465,10 +543,10 @@ func (st *simState) vcAlloc(id int32, t int64) {
 		if k == 0 {
 			m &= ^uint64(0) << uint(v0)
 		}
-		st.vcAllocPort(id, nIn, p, m, t)
+		st.vcAllocPort(id, nIn, p, m)
 	}
 	if m := st.headMask[base+p0] & (1<<uint(v0) - 1); m != 0 {
-		st.vcAllocPort(id, nIn, p0, m, t)
+		st.vcAllocPort(id, nIn, p0, m)
 	}
 }
 
@@ -476,7 +554,7 @@ func (st *simState) vcAlloc(id int32, t int64) {
 // each lane of input port p of router id whose bit is set in m, in
 // ascending VC order. The output VC granted is the lowest free one of
 // the hop's class, the first an ascending owner scan would find.
-func (st *simState) vcAllocPort(id int32, nIn, p int, m uint64, t int64) {
+func (st *simState) vcAllocPort(id int32, nIn, p int, m uint64) {
 	s := st.sim
 	base := int(st.portBase[id])
 	gp := base + p
@@ -485,11 +563,7 @@ func (st *simState) vcAllocPort(id int32, nIn, p int, m uint64, t int64) {
 		v := bits.TrailingZeros64(m)
 		m &= m - 1
 		vcIdx := lane + v
-		head := st.ringFront(vcIdx)
-		if head.ready > t {
-			continue
-		}
-		pk := &s.packets[head.pkt]
+		pk := &s.packets[st.ringFront(vcIdx).pkt]
 		op, ov := nIn-1, 0 // ejection needs no VC allocation
 		if pk.dst != id {
 			h := pk.hops[pk.hop]
@@ -500,6 +574,9 @@ func (st *simState) vcAllocPort(id int32, nIn, p int, m uint64, t int64) {
 			}
 			ov = bits.TrailingZeros64(free)
 			st.ovcFree[base+op] &^= 1 << uint(ov)
+			// The head crosses this hop's link before the next router
+			// allocates it a VC, so the hop index advances here.
+			pk.hop++
 		}
 		st.outPort[vcIdx] = int16(op)
 		st.outVC[vcIdx] = int16(ov)
@@ -553,9 +630,6 @@ func (st *simState) switchAllocTraverse(id int32, t int64) {
 				v := off + bits.TrailingZeros64(mm)
 				mm &= mm - 1
 				vcIdx := vcBase + v
-				if st.ringFront(vcIdx).ready > t {
-					continue
-				}
 				op := int(st.outPort[vcIdx])
 				if op != ej && st.credits[(base+op)*V+int(st.outVC[vcIdx])] <= 0 {
 					continue
@@ -584,14 +658,23 @@ func (st *simState) switchAllocTraverse(id int32, t int64) {
 		}
 		v := int(cand[cip])
 		st.traverse(id, cip, v, op, t)
-		st.saInRR[base+cip] = int16((v + 1) % V)
-		st.saOutRR[base+op] = int16((cip + 1) % nIn)
+		// Advance both pointers one past the winner, cyclically.
+		if v++; v == V {
+			v = 0
+		}
+		st.saInRR[base+cip] = int16(v)
+		if cip++; cip == nIn {
+			cip = 0
+		}
+		st.saOutRR[base+op] = int16(cip)
 	}
 }
 
 // traverse moves one flit from input VC (ip, v) through output
-// port op of router id, scheduling its arrival downstream and the
-// freed slot's credit upstream on the timing wheel.
+// port op of router id, scheduling on the timing wheel its landing in
+// the downstream lane once the link and the downstream router's
+// pipeline have passed, and the freed slot's credit upstream once the
+// link has.
 func (st *simState) traverse(id int32, ip, v, op int, t int64) {
 	s := st.sim
 	base := int(st.portBase[id])
@@ -602,8 +685,7 @@ func (st *simState) traverse(id int32, ip, v, op int, t int64) {
 	f := st.ringPop(vcIdx)
 	st.bufFlits[id]--
 	s.flitHops++
-	pk := &s.packets[f.pkt]
-	isTail := int(f.seq) == int(pk.plen)-1
+	isTail := f.tail
 	outVC := st.outVC[vcIdx]
 	if isTail || st.ringN[vcIdx] == 0 {
 		// A tail releases the route; a non-tail pop that drains the
@@ -623,6 +705,7 @@ func (st *simState) traverse(id int32, ip, v, op int, t int64) {
 	}
 
 	if op == ej {
+		pk := &s.packets[f.pkt]
 		s.flitsInFlight--
 		s.lastProgress = t
 		if f.seq != pk.nextSeq {
@@ -661,14 +744,10 @@ func (st *simState) traverse(id int32, ip, v, op int, t int64) {
 	} else {
 		ci := st.outChans[id][op]
 		c := &st.chans[ci]
-		if f.seq == 0 {
-			// The head flit advances to the next router on its path.
-			pk.hop++
-		}
-		slot := int((t + c.latency) & st.calMask)
+		slot := int((t + c.latency + st.delay) & st.calMask)
 		k := slot*st.calCap + int(st.calFlitN[slot])
 		st.calFlitN[slot]++
-		st.calFlits[k] = calFlit{pkt: f.pkt, to: c.to, seq: f.seq, port: c.inPort, vc: outVC}
+		st.calFlits[k] = calFlit{pkt: f.pkt, to: c.to, seq: f.seq, port: c.inPort, vc: outVC, tail: f.tail}
 		if s.cfg.Tracer != nil {
 			s.cfg.Tracer.Trace(Event{Cycle: t, Kind: EvTraverse, Pkt: f.pkt, Seq: f.seq, Node: id, Peer: c.to, VC: outVC})
 		}

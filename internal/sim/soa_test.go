@@ -8,11 +8,14 @@ package sim
 // diffCase) so the matrix covers every topology family, both routing
 // flavors, the whole load ladder, adaptive control, and trace replay,
 // each on one-cycle links and again on seeded 1-7-cycle links that
-// wrap the timing wheel. Property tests pin the occupancy bitmap the
+// wrap the timing wheel, and the synthetic sweep again at router
+// pipelines of 1, 3, and 5 cycles, with 4-flit packets and with
+// MemPool's 1-flit router. Property tests pin the occupancy bitmap the
 // SoA phase scans skip idle routers with, and the port masks, free-VC
 // masks, timing wheel, and credit counters.
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -49,21 +52,38 @@ func runBothEngines(t *testing.T, cfg Config) (soa, ref Stats) {
 	return soaStats, refStats
 }
 
+// pipelineDelays are the router pipeline depths the differential
+// sweep adds to its base 2-cycle cases: the shortest, the toolchain's
+// 3, and a deeper one.
+var pipelineDelays = []int{1, 3, 5}
+
+// withMemPoolRouter returns cfg with MemPool's router configuration:
+// 1-flit packets, 2 VCs (or one per VC class), 2-flit buffers.
+func withMemPoolRouter(cfg Config) Config {
+	cfg.PacketLen, cfg.NumVCs, cfg.BufDepth = 1, max(2, cfg.Routing.NumClasses), 2
+	return cfg
+}
+
 // TestSoAMatchesReferenceDifferential sweeps the full configuration
 // matrix — every topology family, both routings, the load ladder,
-// control off and on, one-cycle and multi-cycle links — and asserts
-// the SoA engine reproduces the reference engine's Stats bit for bit
-// (Stats is all-scalar, so == is a field-by-field bit-identity check).
+// control off and on, one-cycle and multi-cycle links, router
+// pipelines of 1-5 cycles, and both the 4-flit-packet router and
+// MemPool's 1-flit one — and asserts the SoA engine reproduces the
+// reference engine's Stats bit for bit (Stats is all-scalar, so == is
+// a field-by-field bit-identity check).
 func TestSoAMatchesReferenceDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x50A0D1FF))
 	latRng := rand.New(rand.NewSource(0x1A7E7C1E))
+	// The pipeline cases draw their link latencies from their own RNG,
+	// so the base cases keep their draws.
+	pipeRng := rand.New(rand.NewSource(0x919E11E5))
 	patterns := PatternNames()
 	loads := diffLoads
 	if testing.Short() {
 		loads = []float64{0.08, 0.9}
 	}
 
-	total := 0
+	total, pipes := 0, 0
 	for _, fam := range diffFamilies {
 		tp, err := topo.ByName(fam.kind, fam.rows, fam.cols, fam.sr, fam.sc)
 		if err != nil {
@@ -97,13 +117,33 @@ func TestSoAMatchesReferenceDifferential(t *testing.T) {
 							fam.kind, routing, dc, lat, soa, ref)
 					}
 				}
+				for di, delay := range pipelineDelays {
+					// Each router configuration alternates between
+					// one-cycle and multi-cycle links across delays.
+					for i, pc := range []Config{cfg, withMemPoolRouter(cfg)} {
+						pc.RouterDelay = delay
+						pc.LinkLatency = nil
+						if (i+di)%2 == 1 {
+							pc.LinkLatency = randomLinkLatencies(pipeRng, tp)
+						}
+						soa, ref := runBothEngines(t, pc)
+						pipes++
+						if soa != ref {
+							t.Errorf("%s routing=%q %+v delay=%d packet=%d vcs=%d depth=%d latencies=%v:\nSoA       %+v\nreference %+v",
+								fam.kind, routing, dc, delay, pc.PacketLen, pc.NumVCs, pc.BufDepth, pc.LinkLatency, soa, ref)
+						}
+					}
+				}
 			}
 		}
 	}
 	if want := 2 * len(diffFamilies) * len(diffRoutings) * len(loads); total < want {
 		t.Fatalf("sweep covered %d configurations, want %d", total, want)
 	}
-	t.Logf("verified %d configurations SoA == reference", total)
+	if want := 2 * len(pipelineDelays) * len(diffFamilies) * len(diffRoutings) * len(loads); pipes < want {
+		t.Fatalf("sweep covered %d pipeline configurations, want %d", pipes, want)
+	}
+	t.Logf("verified %d configurations and %d pipeline configurations SoA == reference", total, pipes)
 }
 
 // TestSoAMatchesReferenceReplay extends the engine differential to
@@ -278,13 +318,16 @@ func checkMaskInvariants(t *testing.T, s *Simulator, cycle int) {
 }
 
 // TestTimingWheelAndMasksDrainClean runs a loaded network on
-// multi-cycle links until it is empty and checks the SoA engine's
-// summary state throughout: the port masks and free-VC masks agree
-// with the lanes after every cycle, and once the last flit has
-// ejected and the longest link latency has passed, every timing-wheel
-// slot is empty and every credit counter is back at BufDepth — no
-// flit or credit was lost, duplicated, or delivered to the wrong
-// lane.
+// multi-cycle links until it is empty, at router pipelines of 1-3
+// cycles, and checks the SoA engine's summary state throughout: the
+// wheel has a slot for every cycle a flit can spend on it (link plus
+// pipeline), the port masks and free-VC masks agree with the lanes
+// after every cycle, and once the last flit has ejected and the
+// longest link latency has passed, every timing-wheel slot is empty —
+// link flits, injected flits, and credits — every injection lane has
+// no flit left in its pipeline, and every credit counter is back at
+// BufDepth: no flit or credit was lost, duplicated, or delivered to
+// the wrong lane.
 func TestTimingWheelAndMasksDrainClean(t *testing.T) {
 	for _, fam := range []diffFamily{diffFamilies[1], diffFamilies[6], diffFamilies[7]} {
 		tp, err := topo.ByName(fam.kind, fam.rows, fam.cols, fam.sr, fam.sc)
@@ -296,57 +339,73 @@ func TestTimingWheelAndMasksDrainClean(t *testing.T) {
 			t.Fatal(err)
 		}
 		lat := randomLinkLatencies(rand.New(rand.NewSource(0x7E1)), tp)
-		s, err := New(Config{
-			Topo: tp, Routing: rt, NumVCs: 4, BufDepth: 8,
-			RouterDelay: 2, PacketLen: 4, InjectionRate: 0.4,
-			LinkLatency: lat, Seed: 3, Warmup: 1 << 30, Measure: 1, Drain: 1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := soaOf(s)
 		maxLat := 0
 		for _, l := range lat {
 			maxLat = max(maxLat, l)
 		}
-		if slots := int(st.calMask) + 1; slots <= maxLat || slots&(slots-1) != 0 {
-			t.Fatalf("%s: %d wheel slots for a largest latency of %d, want a power of two above it",
-				fam.kind, slots, maxLat)
+		for _, delay := range []int{2, 1, 3} {
+			checkDrainClean(t, fam.kind, Config{
+				Topo: tp, Routing: rt, NumVCs: 4, BufDepth: 8,
+				RouterDelay: delay, PacketLen: 4, InjectionRate: 0.4,
+				LinkLatency: lat, Seed: 3, Warmup: 1 << 30, Measure: 1, Drain: 1,
+			}, maxLat)
 		}
-		cycle := 0
-		for ; cycle < 2000; cycle++ {
-			s.step(true)
-			checkMaskInvariants(t, s, cycle)
-		}
-		for s.flitsInFlight > 0 || s.backlog() > 0 {
-			if cycle > 20000 {
-				t.Fatalf("%s: network did not drain (%d flits in flight)", fam.kind, s.flitsInFlight)
-			}
-			s.step(false)
-			checkMaskInvariants(t, s, cycle)
-			cycle++
-		}
-		// The last credits are still on the wire for up to maxLat cycles.
-		for i := 0; i < maxLat; i++ {
-			s.step(false)
-		}
-		for slot := range st.calFlitN {
-			if st.calFlitN[slot] != 0 || st.calCreditN[slot] != 0 {
-				t.Errorf("%s: wheel slot %d holds %d flits, %d credits after the drain",
-					fam.kind, slot, st.calFlitN[slot], st.calCreditN[slot])
-			}
-		}
-		for i, c := range st.credits {
-			if int(c) != st.D {
-				t.Fatalf("%s: lane %d has %d credits after the drain, want %d", fam.kind, i, c, st.D)
-			}
-		}
-		for gp := range st.headMask {
-			if st.headMask[gp]|st.busyMask[gp] != 0 {
-				t.Fatalf("%s: port %d head/busy masks %#x/%#x after the drain",
-					fam.kind, gp, st.headMask[gp], st.busyMask[gp])
-			}
-		}
+	}
+}
+
+// checkDrainClean runs cfg loaded for 2000 cycles, drains it, and
+// checks the SoA engine's summary state (see
+// TestTimingWheelAndMasksDrainClean).
+func checkDrainClean(t *testing.T, kind string, cfg Config, maxLat int) {
+	t.Helper()
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := soaOf(s)
+	name := fmt.Sprintf("%s delay=%d", kind, cfg.RouterDelay)
+	if slots, pipe := int(st.calMask)+1, maxLat+cfg.RouterDelay; slots <= pipe || slots&(slots-1) != 0 {
+		t.Fatalf("%s: %d wheel slots for a largest latency of %d plus a %d-cycle pipeline, want a power of two above %d",
+			name, slots, maxLat, cfg.RouterDelay, pipe)
+	}
+	cycle := 0
+	for ; cycle < 2000; cycle++ {
+		s.step(true)
 		checkMaskInvariants(t, s, cycle)
 	}
+	for s.flitsInFlight > 0 || s.backlog() > 0 {
+		if cycle > 20000 {
+			t.Fatalf("%s: network did not drain (%d flits in flight)", name, s.flitsInFlight)
+		}
+		s.step(false)
+		checkMaskInvariants(t, s, cycle)
+		cycle++
+	}
+	// The last credits are still on the wire for up to maxLat cycles.
+	for i := 0; i < maxLat; i++ {
+		s.step(false)
+	}
+	for slot := range st.calFlitN {
+		if st.calFlitN[slot] != 0 || st.calInjN[slot] != 0 || st.calCreditN[slot] != 0 {
+			t.Errorf("%s: wheel slot %d holds %d link flits, %d injected flits, %d credits after the drain",
+				name, slot, st.calFlitN[slot], st.calInjN[slot], st.calCreditN[slot])
+		}
+	}
+	for i, n := range st.injPend {
+		if n != 0 {
+			t.Fatalf("%s: router %d VC %d has %d injected flits in its pipeline after the drain", name, i/st.V, i%st.V, n)
+		}
+	}
+	for i, c := range st.credits {
+		if int(c) != st.D {
+			t.Fatalf("%s: lane %d has %d credits after the drain, want %d", name, i, c, st.D)
+		}
+	}
+	for gp := range st.headMask {
+		if st.headMask[gp]|st.busyMask[gp] != 0 {
+			t.Fatalf("%s: port %d head/busy masks %#x/%#x after the drain",
+				name, gp, st.headMask[gp], st.busyMask[gp])
+		}
+	}
+	checkMaskInvariants(t, s, cycle)
 }
