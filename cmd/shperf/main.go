@@ -13,7 +13,9 @@
 // -check also verifies the repository's standing metric floors
 // (perf.BuiltinFloors) against each floored benchmark's newest entry
 // — e.g. the surrogate DSE's simulations-saved factor and frontier
-// recall — and warns on any metric below its floor.
+// recall, and the SoA engine's speedup — and, unlike the ns/op
+// warnings, a metric below its floor is an error: it is annotated as
+// ::error and the command exits 1.
 //
 // Examples:
 //
@@ -25,6 +27,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -32,25 +35,37 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run executes the command with the given arguments and returns its
+// exit status: 0 when -check finds no floor violation (ns/op
+// regressions only warn), 1 on a floor violation or an unreadable
+// file, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("shperf", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		file      = flag.String("file", perf.DefaultPath(), "benchmark trajectory file")
-		check     = flag.Bool("check", false, "warn when the newest entry of a bench regressed vs the previous one")
-		threshold = flag.Float64("threshold", 15, "regression threshold in percent")
-		fresh     = flag.Duration("fresh", 0, "only compare benches whose newest entry is younger than this (0 = all)")
+		file      = fs.String("file", perf.DefaultPath(), "benchmark trajectory file")
+		check     = fs.Bool("check", false, "warn when the newest entry of a bench regressed vs the previous one; fail on a metric below its floor")
+		threshold = fs.Float64("threshold", 15, "regression threshold in percent")
+		fresh     = fs.Duration("fresh", 0, "only compare benches whose newest entry is younger than this (0 = all)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	if !*check {
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return 2
 	}
 	entries, err := perf.Load(*file)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "shperf:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "shperf:", err)
+		return 1
 	}
 	if len(entries) == 0 {
-		fmt.Printf("%s: no entries\n", *file)
-		return
+		fmt.Fprintf(stdout, "%s: no entries\n", *file)
+		return 0
 	}
 	var cutoff time.Time
 	if *fresh > 0 {
@@ -58,19 +73,21 @@ func main() {
 	}
 	regs := perf.FreshRegressions(entries, *threshold, cutoff)
 	for _, d := range regs {
-		fmt.Printf("::warning ::bench %s regressed %.1f%% (%s -> %s per op)\n",
+		fmt.Fprintf(stdout, "::warning ::bench %s regressed %.1f%% (%s -> %s per op)\n",
 			d.Bench, d.Pct, time.Duration(d.OldNs).Round(time.Microsecond),
 			time.Duration(d.NewNs).Round(time.Microsecond))
 	}
 	if len(regs) == 0 {
-		fmt.Printf("%s: no ns/op regressions beyond %.0f%%\n", *file, *threshold)
+		fmt.Fprintf(stdout, "%s: no ns/op regressions beyond %.0f%%\n", *file, *threshold)
 	}
 	viol := perf.FloorViolations(entries, perf.BuiltinFloors(), cutoff)
 	for _, v := range viol {
-		fmt.Printf("::warning ::bench %s metric %s = %g below floor %g\n",
+		fmt.Fprintf(stdout, "::error ::bench %s metric %s = %g below floor %g\n",
 			v.Bench, v.Metric, v.Got, v.Min)
 	}
-	if len(viol) == 0 {
-		fmt.Printf("%s: no metric-floor violations\n", *file)
+	if len(viol) > 0 {
+		return 1
 	}
+	fmt.Fprintf(stdout, "%s: no metric-floor violations\n", *file)
+	return 0
 }

@@ -31,6 +31,7 @@ func TestDumpMetricsStable(t *testing.T) {
 	}
 	for _, want := range []string{
 		"sh_sim_runs_total", "sh_sim_verdicts_total",
+		"sh_sim_trace_parses_total", "sh_sim_trace_memo_hits_total",
 		"sh_runner_batches_total", "sh_runner_workers",
 		"sh_cache_entries",
 	} {

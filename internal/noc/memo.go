@@ -21,6 +21,7 @@ import (
 	"sparsehamming/internal/phys"
 	"sparsehamming/internal/route"
 	"sparsehamming/internal/sim"
+	"sparsehamming/internal/spec"
 	"sparsehamming/internal/tech"
 	"sparsehamming/internal/topo"
 )
@@ -87,12 +88,9 @@ func buildForJob(j exp.Job, span *obs.Span) (*build, error) {
 // config returns the simulator configuration of the build's shape;
 // callers fill in the traffic, seed, and schedule per run.
 func (b *build) config() sim.Config {
-	return sim.Config{
-		Topo: b.t, Routing: b.rt,
-		NumVCs: b.arch.Proto.NumVCs, BufDepth: b.arch.Proto.BufDepthFlits,
-		LinkLatency: b.cost.LinkLatencies, RouterDelay: RouterDelay,
-		PacketLen: packetLen(b.arch),
-	}
+	cfg := spec.SimConfig(b.arch, b.t, b.cost.LinkLatencies)
+	cfg.Routing = b.rt
+	return cfg
 }
 
 // shapeKey renders the job fields that determine its build: grid,

@@ -142,6 +142,12 @@ func RegisterMetrics(m *obs.Registry, r *exp.Runner, cache *exp.Cache) {
 	m.CounterFunc("sh_sim_builds_total",
 		"Simulator replica instantiations (each used to pay a full topology build).",
 		func() float64 { return float64(sim.Counters().SimBuilds) })
+	m.CounterFunc("sh_sim_trace_parses_total",
+		"Trace files parsed and validated by trace:<path> pattern resolution (memo misses).",
+		func() float64 { return float64(sim.Counters().TraceParses) })
+	m.CounterFunc("sh_sim_trace_memo_hits_total",
+		"trace:<path> pattern resolutions served from the content-keyed trace memo without a parse.",
+		func() float64 { return float64(sim.Counters().TraceMemoHits) })
 	m.Func("sh_sim_verdicts_total",
 		"Completed simulation runs by how they ended.",
 		obs.KindCounter, []string{"verdict"}, func() []obs.Sample {

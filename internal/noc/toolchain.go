@@ -254,9 +254,3 @@ func PredictCostOnly(arch *tech.Arch, t *topo.Topology) (*Prediction, *phys.Resu
 	}
 	return p, cost, nil
 }
-
-// packetLen returns the simulated packet length in flits (see
-// tech.Arch.PacketLenFlits, shared with the design-space surrogate).
-func packetLen(arch *tech.Arch) int {
-	return arch.PacketLenFlits()
-}

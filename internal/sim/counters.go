@@ -26,6 +26,9 @@ var counters struct {
 	simBuilds   atomic.Int64
 
 	anchorReuses atomic.Int64
+
+	traceParses   atomic.Int64
+	traceMemoHits atomic.Int64
 }
 
 // CounterSnapshot is a point-in-time copy of the process-wide
@@ -70,6 +73,12 @@ type CounterSnapshot struct {
 	// zero-load reference run (see ZeroLoadAnchor) instead of
 	// simulating their own.
 	AnchorReuses int64
+
+	// TraceParses counts trace files the "trace:<path>" pattern scheme
+	// parsed and validated; TraceMemoHits counts resolutions its
+	// content-keyed memo served without parsing (see replay.go).
+	TraceParses   int64
+	TraceMemoHits int64
 }
 
 // Counters returns a snapshot of the process-wide simulation counters.
@@ -89,6 +98,8 @@ func Counters() CounterSnapshot {
 		ShapeBuilds:         counters.shapeBuilds.Load(),
 		SimBuilds:           counters.simBuilds.Load(),
 		AnchorReuses:        counters.anchorReuses.Load(),
+		TraceParses:         counters.traceParses.Load(),
+		TraceMemoHits:       counters.traceMemoHits.Load(),
 	}
 }
 

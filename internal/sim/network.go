@@ -138,6 +138,39 @@ func (c *Config) Validate() error {
 	if c.Routing.Topo != c.Topo {
 		return fmt.Errorf("sim: routing was built for a different topology")
 	}
+	if err := c.CheckLimits(); err != nil {
+		return err
+	}
+	if c.NumVCs < c.Routing.NumClasses {
+		return fmt.Errorf("sim: %d VCs cannot host %d VC classes", c.NumVCs, c.Routing.NumClasses)
+	}
+	if c.LinkLatency != nil && len(c.LinkLatency) != c.Topo.NumLinks() {
+		return fmt.Errorf("sim: %d link latencies for %d links", len(c.LinkLatency), c.Topo.NumLinks())
+	}
+	if c.InjectionRate < 0 || c.InjectionRate > 1 {
+		return fmt.Errorf("sim: injection rate %v outside [0,1]", c.InjectionRate)
+	}
+	if rp, ok := c.Pattern.(*Replay); ok {
+		rows, cols := rp.Grid()
+		if rows != c.Topo.Rows || cols != c.Topo.Cols {
+			return fmt.Errorf("sim: replay trace grid %dx%d does not match the %dx%d topology",
+				rows, cols, c.Topo.Rows, c.Topo.Cols)
+		}
+	}
+	return nil
+}
+
+// CheckLimits checks the configuration against the engine's fixed
+// limits (maxVCs, maxFlits, maxRouterPorts, maxPipeline): the VCs per
+// port, the buffer depth, the packet length, the router radix, and
+// the largest link latency plus RouterDelay. Of the build inputs it
+// reads only Topo, so a caller that has not built a routing — spec
+// validation — can reject a configuration the engine would refuse
+// before any job runs. Validate calls it.
+func (c *Config) CheckLimits() error {
+	if c.Topo == nil {
+		return fmt.Errorf("sim: missing topology")
+	}
 	if c.NumVCs < 1 {
 		return fmt.Errorf("sim: %d VCs per port, need at least 1", c.NumVCs)
 	}
@@ -154,12 +187,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("sim: a router with %d ports (radix %d plus the local port) exceeds the engine's limit of %d",
 			ports, ports-1, maxRouterPorts)
 	}
-	if c.NumVCs < c.Routing.NumClasses {
-		return fmt.Errorf("sim: %d VCs cannot host %d VC classes", c.NumVCs, c.Routing.NumClasses)
-	}
-	if c.LinkLatency != nil && len(c.LinkLatency) != c.Topo.NumLinks() {
-		return fmt.Errorf("sim: %d link latencies for %d links", len(c.LinkLatency), c.Topo.NumLinks())
-	}
 	if c.RouterDelay < 0 {
 		return fmt.Errorf("sim: router delay of %d cycles is negative", c.RouterDelay)
 	}
@@ -170,16 +197,6 @@ func (c *Config) Validate() error {
 	if c.RouterDelay > maxPipeline || maxLat > maxPipeline-c.RouterDelay {
 		return fmt.Errorf("sim: a %d-cycle link plus the %d-cycle router pipeline exceeds the engine's limit of %d cycles",
 			maxLat, c.RouterDelay, maxPipeline)
-	}
-	if c.InjectionRate < 0 || c.InjectionRate > 1 {
-		return fmt.Errorf("sim: injection rate %v outside [0,1]", c.InjectionRate)
-	}
-	if rp, ok := c.Pattern.(*Replay); ok {
-		rows, cols := rp.Grid()
-		if rows != c.Topo.Rows || cols != c.Topo.Cols {
-			return fmt.Errorf("sim: replay trace grid %dx%d does not match the %dx%d topology",
-				rows, cols, c.Topo.Rows, c.Topo.Cols)
-		}
 	}
 	return nil
 }

@@ -24,9 +24,12 @@ package sim
 // "load" in campaign specs) instead.
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"math/rand"
+	"os"
 	"sort"
+	"sync"
 
 	"sparsehamming/internal/trace"
 )
@@ -34,7 +37,9 @@ import (
 // Replay is a Pattern that replays a recorded workload trace. Build
 // with NewReplay (or via the "trace:<path>" pattern names of
 // PatternByName); the wrapped trace must stay unmodified while any
-// simulation uses it.
+// simulation uses it. Replays resolved by name share one trace per
+// file content (see the "trace" scheme below), so their traces must
+// never be modified.
 type Replay struct {
 	name string
 	tr   *trace.Trace
@@ -64,7 +69,8 @@ func (r *Replay) Dest(src int, rng *rand.Rand) int { return -1 }
 // Grid returns the trace's grid shape.
 func (r *Replay) Grid() (rows, cols int) { return r.tr.Meta.Rows, r.tr.Meta.Cols }
 
-// Trace returns the wrapped trace (read-only by convention).
+// Trace returns the wrapped trace (read-only: replays resolved by
+// name share it).
 func (r *Replay) Trace() *trace.Trace { return r.tr }
 
 // replayEvent is one scheduled injection: a trace record with its
@@ -99,16 +105,23 @@ func (r *Replay) schedule(scale float64) []replayEvent {
 }
 
 // init registers the "trace" pattern-name scheme: "trace:<path>"
-// loads, validates, and wraps the trace file at path (relative to the
-// process working directory, like spec files themselves). The file is
-// re-read on every construction — traces are small, and the campaign
-// cache already memoizes whole results.
+// resolves the trace file at path (relative to the process working
+// directory, like spec files themselves) through traces, a
+// process-wide memo keyed on the SHA-256 of the file's bytes. Spec
+// validation, every load point of a campaign, and the replay paths of
+// the CLIs and the service all resolve the same few files again and
+// again; the memo parses and validates each distinct content once and
+// hands every later resolution a new Replay over the shared,
+// read-only trace. The file is still read on every resolution, so a
+// trace rewritten in place is parsed anew, and errors are never
+// memoized: a missing or corrupt file fails on every call. The grid
+// check against the caller's arch runs per call.
 func init() {
 	RegisterPatternScheme("trace", func(name, path string, rows, cols int) (Pattern, error) {
 		if path == "" {
 			return nil, fmt.Errorf("sim: pattern %q has no trace path", name)
 		}
-		tr, err := trace.ReadFile(path)
+		tr, err := traces.resolve(path)
 		if err != nil {
 			return nil, fmt.Errorf("sim: pattern %q: %w", name, err)
 		}
@@ -116,8 +129,105 @@ func init() {
 			return nil, fmt.Errorf("sim: pattern %q: trace grid %dx%d does not match the %dx%d arch grid",
 				name, tr.Meta.Rows, tr.Meta.Cols, rows, cols)
 		}
-		return NewReplay(name, tr)
+		return &Replay{name: name, tr: tr}, nil
 	})
+}
+
+// traceMemoCap bounds the trace memo's entries and traceMemoRecords
+// the records they retain in total (24 bytes each, so about 24 MB); a
+// full memo starts over. A campaign service replays a handful of
+// traces at a time, so the memo keeps those, not every file it has
+// seen.
+const (
+	traceMemoCap     = 16
+	traceMemoRecords = 1 << 20
+)
+
+// traces is the memo behind the "trace" pattern scheme.
+var traces = newTraceMemo(traceMemoCap, traceMemoRecords)
+
+// traceMemo is a bounded memo of parsed, validated traces keyed on the
+// SHA-256 of their file bytes. Concurrent resolutions of one content
+// wait for a single parse.
+type traceMemo struct {
+	maxEntries, maxRecords int
+
+	mu      sync.Mutex
+	entries map[[sha256.Size]byte]*traceEntry
+	records int // records of the completed entries, guarded by mu
+}
+
+// traceEntry is one memoized content: done closes once tr (or, for a
+// failed parse, nil) is set.
+type traceEntry struct {
+	done chan struct{}
+	tr   *trace.Trace
+}
+
+// newTraceMemo returns an empty memo with the given bounds.
+func newTraceMemo(maxEntries, maxRecords int) *traceMemo {
+	return &traceMemo{maxEntries: maxEntries, maxRecords: maxRecords,
+		entries: map[[sha256.Size]byte]*traceEntry{}}
+}
+
+// resolve reads the file at path and returns its parsed, validated
+// trace, parsing only contents the memo does not hold. The returned
+// trace is shared and must not be modified.
+func (m *traceMemo) resolve(path string) (*trace.Trace, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("trace: %w", err)
+	}
+	key := sha256.Sum256(data)
+	m.mu.Lock()
+	e, hit := m.entries[key]
+	if !hit {
+		if len(m.entries) >= m.maxEntries {
+			m.resetLocked()
+		}
+		e = &traceEntry{done: make(chan struct{})}
+		m.entries[key] = e
+	}
+	m.mu.Unlock()
+	if hit {
+		<-e.done
+		if e.tr != nil {
+			counters.traceMemoHits.Add(1)
+			return e.tr, nil
+		}
+		// The parse this call waited for failed: fail with this
+		// path's own error.
+		counters.traceParses.Add(1)
+		return trace.Decode(path, data)
+	}
+
+	defer close(e.done)
+	counters.traceParses.Add(1)
+	tr, err := trace.Decode(path, data)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	e.tr = tr // nil on failure
+	// Retain a success unless a reset dropped the entry while it
+	// parsed; a trace above the record bound on its own is served
+	// unretained.
+	if m.entries[key] == e {
+		delete(m.entries, key)
+		if err == nil && len(tr.Records) <= m.maxRecords {
+			if m.records+len(tr.Records) > m.maxRecords {
+				m.resetLocked()
+			}
+			m.entries[key] = e
+			m.records += len(tr.Records)
+		}
+	}
+	return tr, err
+}
+
+// resetLocked empties the memo. Resolutions holding a dropped entry
+// finish unaffected; later ones parse anew.
+func (m *traceMemo) resetLocked() {
+	clear(m.entries)
+	m.records = 0
 }
 
 // captureTracer records the injection schedule of a running

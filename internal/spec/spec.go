@@ -34,8 +34,10 @@ import (
 	"strings"
 
 	"sparsehamming/internal/exp"
+	"sparsehamming/internal/phys"
 	"sparsehamming/internal/route"
 	"sparsehamming/internal/sim"
+	"sparsehamming/internal/tech"
 	"sparsehamming/internal/topo"
 )
 
@@ -244,8 +246,10 @@ var validQualities = func() map[string]bool {
 // kinds are registered and structurally applicable on the sweep's
 // grid (instances are built and connectivity-checked), routing and
 // pattern names are registered, the mode's axis requirements hold,
-// and the spec expands to at most MaxJobs jobs. A valid spec can still fail at run time only for deep
-// incompatibilities validation does not simulate (e.g. pinning a
+// simulating sweeps fit the engine's limits (checkEngineLimits, one
+// cost-model evaluation per topology), and the spec expands to at
+// most MaxJobs jobs. A valid spec can still fail at run time only for
+// deep incompatibilities validation does not simulate (e.g. pinning a
 // torus-only routing onto a mesh).
 func (s *Spec) Validate() error {
 	if len(s.Sweeps) == 0 {
@@ -270,6 +274,7 @@ func (sw *Sweep) validate() error {
 	if err != nil {
 		return err
 	}
+	simulating := mode == exp.ModePredict || mode == exp.ModeLoad
 	if sw.MaxConfigs < 0 {
 		return fmt.Errorf("negative max_configs %d", sw.MaxConfigs)
 	}
@@ -287,8 +292,20 @@ func (sw *Sweep) validate() error {
 		if err := fam.Applicable(arch.Rows, arch.Cols); err != nil {
 			return err
 		}
-		if _, err := topo.HammingSpace(arch.Rows, arch.Cols, sw.maxConfigs()); err != nil {
+		params, err := topo.HammingSpace(arch.Rows, arch.Cols, sw.maxConfigs())
+		if err != nil {
 			return err
+		}
+		if simulating {
+			for _, p := range params {
+				t, err := topo.ByName("sparse-hamming", arch.Rows, arch.Cols, p.SR, p.SC)
+				if err != nil {
+					return err
+				}
+				if err := checkEngineLimits(arch, t); err != nil {
+					return fmt.Errorf("sparse-hamming sr=%v sc=%v: %w", p.SR, p.SC, err)
+				}
+			}
 		}
 	} else if len(sw.Topologies) == 0 {
 		return fmt.Errorf("no topologies")
@@ -310,6 +327,11 @@ func (sw *Sweep) validate() error {
 		}
 		if err := t.Validate(); err != nil {
 			return err
+		}
+		if simulating {
+			if err := checkEngineLimits(arch, t); err != nil {
+				return fmt.Errorf("topology %q: %w", ts.Kind, err)
+			}
 		}
 		if !route.Registered(ts.Routing) {
 			return fmt.Errorf("topology %q pins unknown routing %q", ts.Kind, ts.Routing)
@@ -379,6 +401,34 @@ func (sw *Sweep) validate() error {
 		}
 	}
 	return nil
+}
+
+// SimConfig returns the simulator configuration every simulating job
+// of topology t on arch builds, given the cost model's link latencies:
+// the buffering, link and router pipelines, and packet length. The
+// caller adds the routing, traffic, seed, and schedule. The toolchain
+// (package noc) simulates from it, and validation checks it against
+// the engine's limits.
+func SimConfig(arch *tech.Arch, t *topo.Topology, linkLatency []int) sim.Config {
+	return sim.Config{
+		Topo:   t,
+		NumVCs: arch.Proto.NumVCs, BufDepth: arch.Proto.BufDepthFlits,
+		LinkLatency: linkLatency, RouterDelay: tech.RouterDelay,
+		PacketLen: arch.PacketLenFlits(),
+	}
+}
+
+// checkEngineLimits runs the cost model of topology t on arch once and
+// checks the SimConfig its simulating jobs build against the engine's
+// limits (sim.Config.CheckLimits), so validation rejects what every
+// such job would fail with, in the same words.
+func checkEngineLimits(arch *tech.Arch, t *topo.Topology) error {
+	cost, err := phys.Evaluate(arch, t)
+	if err != nil {
+		return err
+	}
+	cfg := SimConfig(arch, t, cost.LinkLatencies)
+	return cfg.CheckLimits()
 }
 
 // mode resolves the sweep's job mode, defaulting to predict.

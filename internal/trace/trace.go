@@ -39,6 +39,7 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -291,17 +292,23 @@ func (t *Trace) FlitCounts() map[[2]int32]int64 {
 
 // ReadFile parses and validates the trace at path.
 func ReadFile(path string) (*Trace, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("trace: %w", err)
 	}
-	defer f.Close()
-	t, err := Parse(f)
+	return Decode(path, data)
+}
+
+// Decode parses and validates a trace held in memory. Errors name the
+// trace the way ReadFile names its path, so a caller that reads the
+// bytes itself (to key a memo on them, say) reports the same errors.
+func Decode(name string, data []byte) (*Trace, error) {
+	t, err := Parse(bytes.NewReader(data))
 	if err != nil {
-		return nil, fmt.Errorf("trace: %s: %w", path, unprefix(err))
+		return nil, fmt.Errorf("trace: %s: %w", name, unprefix(err))
 	}
 	if err := t.Validate(); err != nil {
-		return nil, fmt.Errorf("trace: %s: %w", path, unprefix(err))
+		return nil, fmt.Errorf("trace: %s: %w", name, unprefix(err))
 	}
 	return t, nil
 }
