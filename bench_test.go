@@ -408,20 +408,46 @@ func BenchmarkDSESurrogate(b *testing.B) {
 	benchRec.Set(entry)
 }
 
-// BenchmarkPhysEvaluate measures the cost model's speed — the paper's
-// pitch is that approximate floorplanning runs at high-level-model
-// speed while capturing link routing.
+// BenchmarkPhysEvaluate measures the cost model's speed and memory —
+// the paper's pitch is that approximate floorplanning runs at
+// high-level-model speed while capturing link routing. Rungs: the
+// scenario-a sparse Hamming graph on 8x8; a 5x5 sparse Hamming graph
+// on an overridden architecture (small endpoints, 128-bit links: fine
+// unit-cells, as in the service benchmark's cost surveys); and the
+// largest evaluation topology, the scenario-c 8x16 flattened butterfly.
 func BenchmarkPhysEvaluate(b *testing.B) {
-	arch := tech.Scenario(tech.ScenarioA)
-	shg, err := topo.NewSparseHamming(8, 8, noc.PaperSHGParams(tech.ScenarioA))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := phys.Evaluate(arch, shg); err != nil {
-			b.Fatal(err)
-		}
+	small := tech.Scenario(tech.ScenarioA)
+	small.Rows, small.Cols = 5, 5
+	small.EndpointGE = 20e6
+	small.LinkBWBits = 128
+	for _, rung := range []struct {
+		name  string
+		arch  *tech.Arch
+		build func() (*topo.Topology, error)
+	}{
+		{"shg-8x8-a", tech.Scenario(tech.ScenarioA), func() (*topo.Topology, error) {
+			return topo.NewSparseHamming(8, 8, noc.PaperSHGParams(tech.ScenarioA))
+		}},
+		{"shg-5x5-override", small, func() (*topo.Topology, error) {
+			return topo.NewSparseHamming(5, 5, topo.HammingParams{SR: []int{2, 3}, SC: []int{2}})
+		}},
+		{"fb-8x16-c", tech.Scenario(tech.ScenarioC), func() (*topo.Topology, error) {
+			return topo.NewFlattenedButterfly(8, 16)
+		}},
+	} {
+		b.Run(rung.name, func(b *testing.B) {
+			tp, err := rung.build()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := phys.Evaluate(rung.arch, tp); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -1,7 +1,10 @@
 package phys
 
 import (
+	"cmp"
 	"math"
+	"slices"
+	"strings"
 
 	"sparsehamming/internal/topo"
 )
@@ -16,7 +19,9 @@ import (
 // Because channel spacing is S = f_wires→mm(NL * f_bw→wires(B)) =
 // NL * cell size, a channel with NL tracks is exactly NL cells wide,
 // so the cell grid is assembled directly from tile blocks and track
-// counts.
+// counts. Only its geometry is computed: the cells themselves are
+// never materialized, since step 5 records wire runs rather than
+// per-cell counts.
 func (p *plan) buildCellGrid() {
 	n := p.arch.Node
 	p.cellH = n.HWiresToMm(p.wiresPerLink)
@@ -50,9 +55,6 @@ func (p *plan) buildCellGrid() {
 		}
 	}
 	p.cellsY = y
-
-	p.hOcc = make([]uint16, p.cellsX*p.cellsY)
-	p.vOcc = make([]uint16, p.cellsX*p.cellsY)
 }
 
 // portSlot allocates the next free stub position on a tile face and
@@ -60,8 +62,9 @@ func (p *plan) buildCellGrid() {
 // around the face center with a two-cell pitch so that stubs from the
 // same tile never collide (optimized port placement, criterion OPP).
 func (p *plan) portSlot(tile int, face byte) int {
-	k := p.portSlots[faceKey{tile, face}]
-	p.portSlots[faceKey{tile, face}] = k + 1
+	slot := 4*tile + strings.IndexByte("NSEW", face)
+	k := p.portSlots[slot]
+	p.portSlots[slot] = k + 1
 
 	var faceLen, origin int
 	coord := p.topo.CoordOf(tile)
@@ -88,8 +91,8 @@ func (p *plan) portSlot(tile int, face byte) int {
 }
 
 // detailedRoute performs step 5: realize every route as a rectilinear
-// path in the unit-cell grid, mark directional occupancy for the power
-// model, count collisions, and derive per-link lengths and latencies.
+// path in the unit-cell grid, record its wire runs for the occupancy
+// and collision counts, and derive per-link lengths and latencies.
 func (p *plan) detailedRoute() {
 	links := p.topo.Links()
 	p.linkLenMm = make([]float64, len(links))
@@ -108,8 +111,8 @@ func (p *plan) detailedRoute() {
 	}
 }
 
-// realizeRoute marks the cells of one route and returns the number of
-// horizontal and vertical cells it traverses.
+// realizeRoute records the wire runs of one route and returns the
+// number of horizontal and vertical cells it traverses.
 func (p *plan) realizeRoute(rt *route) (nH, nV int) {
 	a, b := rt.link.A, rt.link.B
 	switch rt.kind {
@@ -246,41 +249,61 @@ func (p *plan) markStubH(g, trackX, y, col int) int {
 	return p.markH(x1, x2, y)
 }
 
-// markH marks cells [x1,x2] on row y as containing a horizontal wire
-// segment and returns the number of cells marked. Collisions (a cell
-// already claimed by another horizontal segment) are counted.
+// wireRun is one straight wire segment: cells lo..hi (inclusive)
+// along grid line `line` — a cell row for horizontal runs, a cell
+// column for vertical ones.
+type wireRun struct {
+	line, lo, hi int
+}
+
+// markH records a horizontal wire segment over cells [x1,x2] of row y
+// and returns the number of cells it covers. Coordinates are clamped
+// to the grid; an inverted range covers nothing.
 func (p *plan) markH(x1, x2, y int) int {
 	if x1 > x2 {
 		return 0
 	}
 	x1, x2 = clamp(x1, 0, p.cellsX-1), clamp(x2, 0, p.cellsX-1)
 	y = clamp(y, 0, p.cellsY-1)
-	for x := x1; x <= x2; x++ {
-		idx := y*p.cellsX + x
-		p.hOcc[idx]++
-		if p.hOcc[idx] > 1 {
-			p.collisions++
-		}
-	}
+	p.hRuns = append(p.hRuns, wireRun{line: y, lo: x1, hi: x2})
 	return x2 - x1 + 1
 }
 
-// markV marks cells [y1,y2] on column x as containing a vertical wire
-// segment.
+// markV records a vertical wire segment over cells [y1,y2] of column x.
 func (p *plan) markV(y1, y2, x int) int {
 	if y1 > y2 {
 		return 0
 	}
 	y1, y2 = clamp(y1, 0, p.cellsY-1), clamp(y2, 0, p.cellsY-1)
 	x = clamp(x, 0, p.cellsX-1)
-	for y := y1; y <= y2; y++ {
-		idx := y*p.cellsX + x
-		p.vOcc[idx]++
-		if p.vOcc[idx] > 1 {
-			p.collisions++
-		}
-	}
+	p.vRuns = append(p.vRuns, wireRun{line: x, lo: y1, hi: y2})
 	return y2 - y1 + 1
+}
+
+// occupancy counts the unit-cells covered by one direction's runs and
+// the collisions among them: every cell claimed by k > 1 runs adds
+// k-1 collisions, so collisions = total run length - union length.
+// It sorts runs in place by (line, lo) and merges overlapping ones, in
+// O(n log n) for n runs regardless of the grid's size.
+func occupancy(runs []wireRun) (cells, collisions int) {
+	slices.SortFunc(runs, func(a, b wireRun) int {
+		if c := cmp.Compare(a.line, b.line); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.lo, b.lo)
+	})
+	marked := 0
+	for i := 0; i < len(runs); {
+		// Absorb every following run that starts inside the union.
+		cur := runs[i]
+		marked += cur.hi - cur.lo + 1
+		for i++; i < len(runs) && runs[i].line == cur.line && runs[i].lo <= cur.hi; i++ {
+			marked += runs[i].hi - runs[i].lo + 1
+			cur.hi = max(cur.hi, runs[i].hi)
+		}
+		cells += cur.hi - cur.lo + 1
+	}
+	return cells, marked - cells
 }
 
 func clamp(v, lo, hi int) int {

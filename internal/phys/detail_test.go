@@ -1,6 +1,9 @@
 package phys
 
 import (
+	"fmt"
+	"math/rand/v2"
+	"runtime"
 	"testing"
 
 	"sparsehamming/internal/tech"
@@ -139,21 +142,30 @@ func TestMarkCollisionCounting(t *testing.T) {
 	p.globalRoute()
 	p.assignTracks()
 	p.buildCellGrid()
+	// Marking only records runs; counts come from merging them.
+	collisions := func() int {
+		_, h := occupancy(p.hRuns)
+		_, v := occupancy(p.vRuns)
+		return h + v
+	}
 	// Two horizontal segments over the same cells: second one collides.
 	if n := p.markH(10, 14, 5); n != 5 {
 		t.Fatalf("marked %d cells, want 5", n)
 	}
-	if p.collisions != 0 {
-		t.Fatalf("collisions after first mark = %d", p.collisions)
+	if c := collisions(); c != 0 {
+		t.Fatalf("collisions after first mark = %d", c)
 	}
 	p.markH(12, 16, 5)
-	if p.collisions != 3 { // cells 12,13,14 double-claimed
-		t.Errorf("collisions = %d, want 3", p.collisions)
+	if c := collisions(); c != 3 { // cells 12,13,14 double-claimed
+		t.Errorf("collisions = %d, want 3", c)
+	}
+	if cells, _ := occupancy(p.hRuns); cells != 7 { // cells 10..16
+		t.Errorf("occupied horizontal cells = %d, want 7", cells)
 	}
 	// Vertical direction is independent: no extra collisions.
-	before := p.collisions
+	before := collisions()
 	p.markV(3, 7, 12)
-	if p.collisions != before {
+	if collisions() != before {
 		t.Error("vertical mark collided with horizontal occupancy")
 	}
 	// Degenerate/clamped ranges.
@@ -164,6 +176,198 @@ func TestMarkCollisionCounting(t *testing.T) {
 		// Clamped to a single cell at the boundary; any non-negative
 		// count is fine, but it must not panic.
 		_ = n
+	}
+}
+
+// denseGrid is the former step-5 counter, kept as a test oracle: one
+// counter per unit-cell and direction, marked cell by cell, with a
+// collision counted whenever a cell is claimed again.
+type denseGrid struct {
+	cellsX, cellsY int
+	hOcc, vOcc     []uint16
+	collisions     int
+}
+
+func newDenseGrid(cellsX, cellsY int) *denseGrid {
+	return &denseGrid{
+		cellsX: cellsX, cellsY: cellsY,
+		hOcc: make([]uint16, cellsX*cellsY),
+		vOcc: make([]uint16, cellsX*cellsY),
+	}
+}
+
+func (g *denseGrid) markH(x1, x2, y int) int {
+	if x1 > x2 {
+		return 0
+	}
+	x1, x2 = clamp(x1, 0, g.cellsX-1), clamp(x2, 0, g.cellsX-1)
+	y = clamp(y, 0, g.cellsY-1)
+	for x := x1; x <= x2; x++ {
+		idx := y*g.cellsX + x
+		g.hOcc[idx]++
+		if g.hOcc[idx] > 1 {
+			g.collisions++
+		}
+	}
+	return x2 - x1 + 1
+}
+
+func (g *denseGrid) markV(y1, y2, x int) int {
+	if y1 > y2 {
+		return 0
+	}
+	y1, y2 = clamp(y1, 0, g.cellsY-1), clamp(y2, 0, g.cellsY-1)
+	x = clamp(x, 0, g.cellsX-1)
+	for y := y1; y <= y2; y++ {
+		idx := y*g.cellsX + x
+		g.vOcc[idx]++
+		if g.vOcc[idx] > 1 {
+			g.collisions++
+		}
+	}
+	return y2 - y1 + 1
+}
+
+// occupied returns the number of cells with a horizontal and with a
+// vertical segment.
+func (g *denseGrid) occupied() (nH, nV int) {
+	for i := range g.hOcc {
+		if g.hOcc[i] > 0 {
+			nH++
+		}
+		if g.vOcc[i] > 0 {
+			nV++
+		}
+	}
+	return nH, nV
+}
+
+// checkAgainstDense compares the run-merging counts of p with the
+// dense oracle g.
+func checkAgainstDense(t *testing.T, label string, p *plan, g *denseGrid) {
+	t.Helper()
+	nH, hColl := occupancy(p.hRuns)
+	nV, vColl := occupancy(p.vRuns)
+	wH, wV := g.occupied()
+	if nH != wH || nV != wV || hColl+vColl != g.collisions {
+		t.Fatalf("%s: runs give H %d V %d collisions %d, dense grid H %d V %d collisions %d",
+			label, nH, nV, hColl+vColl, wH, wV, g.collisions)
+	}
+}
+
+// TestOccupancyMatchesDenseGrid drives random run sets — overlapping,
+// nested, adjacent, repeated, inverted and out-of-grid (clamped) runs
+// in both directions — through the plan's markers and the dense-grid
+// oracle, and requires identical per-call cell counts, occupied-cell
+// counts and collision counts.
+func TestOccupancyMatchesDenseGrid(t *testing.T) {
+	rng := rand.New(rand.NewPCG(19, 5))
+	// coord draws a coordinate up to 4 cells outside [0, n).
+	coord := func(n int) int { return rng.IntN(n+8) - 4 }
+	for trial := 0; trial < 2000; trial++ {
+		p := &plan{cellsX: 1 + rng.IntN(24), cellsY: 1 + rng.IntN(24)}
+		g := newDenseGrid(p.cellsX, p.cellsY)
+		var prev wireRun
+		for k := rng.IntN(40); k > 0; k-- {
+			horiz := rng.IntN(2) == 0
+			along, across := p.cellsX, p.cellsY
+			if !horiz {
+				along, across = across, along
+			}
+			r := wireRun{line: coord(across), lo: coord(along), hi: coord(along)}
+			switch rng.IntN(6) {
+			case 0: // sorted range
+				r.lo, r.hi = minMax(r.lo, r.hi)
+			case 1: // adjacent to the previous run on its line
+				r.line, r.lo = prev.line, prev.hi+1
+				r.hi = r.lo + rng.IntN(4)
+			case 2: // overlapping or nested in the previous run
+				r.line = prev.line
+				r.lo = prev.lo + rng.IntN(3) - 1
+				r.hi = max(r.lo, prev.hi+rng.IntN(3)-1)
+			case 3: // exact repeat
+				r = prev
+			}
+			// Other cases keep the raw draw, inverted ranges included.
+			var got, want int
+			if horiz {
+				got, want = p.markH(r.lo, r.hi, r.line), g.markH(r.lo, r.hi, r.line)
+			} else {
+				got, want = p.markV(r.lo, r.hi, r.line), g.markV(r.lo, r.hi, r.line)
+			}
+			if got != want {
+				t.Fatalf("trial %d: mark %+v returned %d cells, dense grid %d", trial, r, got, want)
+			}
+			prev = r
+		}
+		checkAgainstDense(t, fmt.Sprintf("trial %d (%dx%d)", trial, p.cellsX, p.cellsY), p, g)
+	}
+}
+
+// TestOccupancyMatchesDenseGridOnRoutedPlans replays the wire runs of
+// fully routed plans — including topologies that route with
+// collisions — into the dense oracle.
+func TestOccupancyMatchesDenseGridOnRoutedPlans(t *testing.T) {
+	for _, tc := range []struct {
+		scenario tech.ScenarioID
+		kind     string
+	}{
+		{tech.ScenarioA, "flattened-butterfly"},
+		{tech.ScenarioA, "sparse-hamming"},
+		{tech.ScenarioB, "folded-torus"},
+		{tech.ScenarioC, "slimnoc"},
+		{tech.ScenarioD, "flattened-butterfly"},
+	} {
+		arch := tech.Scenario(tc.scenario)
+		tp, err := topo.ByName(tc.kind, arch.Rows, arch.Cols, []int{2, 4}, []int{3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := planFor(t, arch, tp)
+		g := newDenseGrid(p.cellsX, p.cellsY)
+		for _, r := range p.hRuns {
+			g.markH(r.lo, r.hi, r.line)
+		}
+		for _, r := range p.vRuns {
+			g.markV(r.lo, r.hi, r.line)
+		}
+		checkAgainstDense(t, string(tc.scenario)+"/"+tc.kind, p, g)
+	}
+}
+
+// TestEvaluateAllocatesPerLink guards the cost model's memory: one
+// Evaluate of the largest evaluation topology (the 8x16 flattened
+// butterfly of scenario c) must allocate bytes in proportion to its
+// link count, not to its unit-cell count.
+func TestEvaluateAllocatesPerLink(t *testing.T) {
+	arch := tech.Scenario(tech.ScenarioC)
+	fb, err := topo.NewFlattenedButterfly(arch.Rows, arch.Cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Evaluate(arch, fb) // warm up lazily built topology state
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := Evaluate(arch, fb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perCall := (after.TotalAlloc - before.TotalAlloc) / runs
+
+	links := uint64(len(fb.Links()))
+	const bytesPerLink = 1024
+	bound := bytesPerLink * links
+	t.Logf("Evaluate: %d bytes for %d links (%d B/link), %dx%d = %d cells",
+		perCall, links, perCall/links, res.CellsX, res.CellsY, res.CellsX*res.CellsY)
+	if perCall > bound {
+		t.Errorf("Evaluate allocated %d bytes, above %d B/link x %d links = %d",
+			perCall, bytesPerLink, links, bound)
 	}
 }
 

@@ -12,9 +12,16 @@
 //     from the densest section of each routing channel.
 //  4. Discretization of the chip into same-sized unit-cells, each
 //     accommodating exactly one horizontal and one vertical link.
+//     Only the grid's geometry is computed (cell size, the cell
+//     origin of every tile and channel); its cells are never
+//     materialized.
 //  5. Detailed routing in the grid of unit-cells (track assignment
 //     via left-edge interval coloring, collision-avoiding stub
-//     placement).
+//     placement). Each link becomes a few straight wire runs; the
+//     occupied-cell counts of the power model and the collision count
+//     come from sorting and merging those runs per direction, so the
+//     model's work and memory grow with the number of links, not with
+//     the chip's cell count.
 //
 // The outputs (area overhead, power, per-link latencies) feed the
 // cycle-accurate simulator in package sim, mirroring the toolchain of
@@ -66,7 +73,7 @@ type Result struct {
 	// Per-link results (step 5), indexed like Topology.Links().
 	LinkLengthsMm []float64
 	LinkLatencies []int // cycles, >= 1
-	Collisions    int   // unit-cells claimed by more than one same-direction segment
+	Collisions    int   // extra same-direction claims on unit-cells: a cell claimed k times adds k-1
 
 	// ULD metric: utilization of allocated channel area in [0,1];
 	// 1 means every allocated track is fully used along its channel
@@ -121,19 +128,13 @@ type plan struct {
 	cellsX, cellsY int
 
 	// Step 5.
-	hOcc, vOcc  []uint16 // per-cell segment counts by direction
-	linkLenMm   []float64
-	linkLatency []int
-	collisions  int
+	hRuns, vRuns []wireRun // wire segments by direction
+	linkLenMm    []float64
+	linkLatency  []int
 
-	// Port slot allocation: stub x/y positions per tile face.
-	portSlots map[faceKey]int
-}
-
-// faceKey identifies one face of one tile for port slot counting.
-type faceKey struct {
-	tile int
-	face byte // 'N', 'S', 'E', 'W'
+	// Port slot allocation: stub positions handed out so far per tile
+	// face, indexed 4*tile + the face's position in "NSEW".
+	portSlots []int
 }
 
 func newPlan(arch *tech.Arch, t *topo.Topology) *plan {
@@ -141,7 +142,7 @@ func newPlan(arch *tech.Arch, t *topo.Topology) *plan {
 		arch:         arch,
 		topo:         t,
 		wiresPerLink: arch.Proto.BWToWires(arch.LinkBWBits),
-		portSlots:    make(map[faceKey]int),
+		portSlots:    make([]int, 4*t.NumTiles()),
 	}
 }
 
@@ -172,17 +173,8 @@ func (p *plan) results() *Result {
 	noNoC := p.arch.NoNoCAreaMm2()
 
 	nLogic := p.topo.NumTiles() * p.tileCellsX * p.tileCellsY
-	nH, nV := 0, 0
-	for _, c := range p.hOcc {
-		if c > 0 {
-			nH++
-		}
-	}
-	for _, c := range p.vOcc {
-		if c > 0 {
-			nV++
-		}
-	}
+	nH, hColl := occupancy(p.hRuns)
+	nV, vColl := occupancy(p.vRuns)
 
 	totalPower := n.LogicPower(float64(nLogic)*cellArea) +
 		n.WirePower(float64(nH+nV)*cellArea/2)
@@ -213,7 +205,7 @@ func (p *plan) results() *Result {
 		NoCPowerW:          totalPower - noNoCPower,
 		LinkLengthsMm:      p.linkLenMm,
 		LinkLatencies:      p.linkLatency,
-		Collisions:         p.collisions,
+		Collisions:         hColl + vColl,
 		ChannelUtilization: p.channelUtilization(),
 	}
 	return res
