@@ -5,7 +5,7 @@
 //	BenchmarkTableIII    — MemPool toolchain validation (Table III)
 //	BenchmarkFigure6a..d — the four topology-comparison panels (Fig. 6)
 //	BenchmarkCustomize   — the Section V customization strategy
-//	BenchmarkAblation*   — design-choice ablations called out in DESIGN.md
+//	BenchmarkAblation*   — design-choice ablations (routing, spacing, models, buffers)
 //
 // Each benchmark prints the regenerated rows on its first iteration
 // and reports the headline numbers as custom metrics. The heavyweight

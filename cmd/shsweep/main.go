@@ -16,9 +16,9 @@
 //
 // -quality selects the simulation tier: the fixed-budget "quick"
 // (default) and "full" windows, or "adaptive" — quick's budgets as
-// caps with early-verdict saturation probes, steady-state stopping,
-// and speculative parallel bisection (>=2x faster, metrics within
-// ~2%; see docs/ARCHITECTURE.md "Simulation control").
+// caps with early-verdict saturation probes and steady-state stopping
+// (>=2x faster, metrics within ~2%; see docs/ARCHITECTURE.md
+// "Simulation control").
 // -cpuprofile/-memprofile write pprof profiles around the campaign.
 //
 // Examples:

@@ -2,14 +2,19 @@ package sparsehamming
 
 // TestExportedDocComments is the repository's revive-style comment
 // check: every exported type, function, method, constant, and
-// variable of the documented packages must carry a doc comment. It
-// runs as a plain test so CI enforces it without external linters.
+// variable of the documented packages must carry a doc comment.
+// TestDocReferencesExist checks that every markdown file a comment or
+// document names exists. Both run as plain tests so CI enforces them
+// without external linters.
 
 import (
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -86,4 +91,69 @@ func checkFileDocs(t *testing.T, fset *token.FileSet, path string, file *ast.Fil
 			}
 		}
 	}
+}
+
+// mdRef matches a relative reference to a markdown file: path
+// segments ending in a .md file name, not preceded by a path or URL
+// character (so links to other sites never match).
+var mdRef = regexp.MustCompile(`(?:^|[^A-Za-z0-9_./:-])((?:\.\./|[A-Za-z0-9_-]+/)*[A-Za-z0-9_-]+\.md)\b`)
+
+// docRefChecked lists the top-level markdown documents whose
+// references are checked. The other top-level documents are working
+// notes (change log, roadmap, planning notes, quotes from other
+// repositories) that name documents which existed once, are planned,
+// or belong elsewhere. Go files and markdown below the root are always
+// checked.
+var docRefChecked = map[string]bool{
+	"README.md": true,
+	"PAPER.md":  true,
+}
+
+// TestDocReferencesExist fails on any reference, in a Go file or a
+// markdown document of the repository, to a .md file that does not
+// exist. A reference resolves against the referring file's directory
+// or the repository root.
+func TestDocReferencesExist(t *testing.T) {
+	checked := 0
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		isMD := strings.HasSuffix(path, ".md")
+		if !(strings.HasSuffix(path, ".go") || isMD) || (isMD && !strings.Contains(path, "/") && !docRefChecked[path]) {
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for i, line := range strings.Split(string(data), "\n") {
+			for _, m := range mdRef.FindAllStringSubmatch(line, -1) {
+				checked++
+				ref := m[1]
+				if !fileExists(filepath.Join(filepath.Dir(path), ref)) && !fileExists(ref) {
+					t.Errorf("%s:%d: reference to missing document %s", path, i+1, ref)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if checked == 0 {
+		t.Fatal("no markdown references found; the scan is broken")
+	}
+}
+
+// fileExists reports whether path names an existing regular file.
+func fileExists(path string) bool {
+	fi, err := os.Stat(path)
+	return err == nil && fi.Mode().IsRegular()
 }

@@ -393,19 +393,3 @@ func TestReportString(t *testing.T) {
 		t.Errorf("report = %q", s)
 	}
 }
-
-func TestTryAcquireBounded(t *testing.T) {
-	r := &Runner{Eval: fakeEval(nil), Workers: 2}
-	if !r.TryAcquire() || !r.TryAcquire() {
-		t.Fatal("could not borrow the configured slots")
-	}
-	if r.TryAcquire() {
-		t.Fatal("borrowed more slots than Workers")
-	}
-	r.Release()
-	if !r.TryAcquire() {
-		t.Fatal("released slot not reusable")
-	}
-	r.Release()
-	r.Release()
-}

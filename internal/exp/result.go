@@ -60,8 +60,7 @@ type Result struct {
 	// Adaptive-control accounting (ModePredict): how many saturation
 	// probes the search consumed and how many simulated cycles the
 	// adaptive tier's early verdicts avoided (0 on fixed-budget
-	// tiers). Deterministic in the job spec: speculative probes whose
-	// verdicts went unused are never counted.
+	// tiers). Deterministic in the job spec, like every other field.
 	SimProbes      int   `json:"sim_probes,omitempty"`
 	SimCyclesSaved int64 `json:"sim_cycles_saved,omitempty"`
 

@@ -191,27 +191,6 @@ func (r *Runner) release() {
 	<-r.sem
 }
 
-// TryAcquire attempts to borrow one shared evaluation slot without
-// blocking, returning whether it got one. Evaluators use it to run
-// subtasks of a single job concurrently (the adaptive saturation
-// search's speculative probes) without ever oversubscribing the pool:
-// a job that gets no spare slot simply proceeds sequentially on the
-// slot it already holds. Every successful TryAcquire must be paired
-// with a Release.
-func (r *Runner) TryAcquire() bool {
-	r.semOnce.Do(func() { r.sem = make(chan struct{}, r.effectiveWorkers()) })
-	select {
-	case r.sem <- struct{}{}:
-		r.stats.inFlight.Add(1)
-		return true
-	default:
-		return false
-	}
-}
-
-// Release returns a slot borrowed with TryAcquire.
-func (r *Runner) Release() { r.release() }
-
 // claim registers an in-flight evaluation for key. It returns the
 // flight and whether the caller owns it (owns == false means another
 // batch is already evaluating the key; wait on flight.done).

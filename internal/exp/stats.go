@@ -44,10 +44,10 @@ type RunnerStats struct {
 	// its own job (see Runner.Eval).
 	Panics int64
 
-	// InFlight is the number of evaluation slots currently held
-	// (including slots borrowed through TryAcquire); Waiting is the
-	// number of goroutines currently blocked waiting for a slot; both
-	// are instantaneous. Workers is the effective slot-pool size.
+	// InFlight is the number of evaluation slots currently held (one
+	// per evaluating job); Waiting is the number of goroutines
+	// currently blocked waiting for a slot; both are instantaneous.
+	// Workers is the effective slot-pool size.
 	InFlight int64
 	Waiting  int64
 	Workers  int

@@ -170,7 +170,7 @@ func TestShapeMemoSingleBuild(t *testing.T) {
 			defer wg.Done()
 			j := exp.Job{Mode: exp.ModeLoad, Scenario: "a", Rows: 4, Cols: 4, Topo: "torus",
 				Load: 0.05 * float64(i+1), Seed: int64(i + 1)}
-			_, errs[i] = evalJobSched(j, nil, nil, memo)
+			_, errs[i] = evalJobWith(j, nil, memo)
 		}(i)
 	}
 	wg.Wait()

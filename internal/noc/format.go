@@ -8,8 +8,7 @@ import (
 )
 
 // This file renders the evaluation artifacts as GitHub-flavored
-// markdown tables, used by the cmd/ tools, the examples, and
-// EXPERIMENTS.md.
+// markdown tables, used by the cmd/ tools and the examples.
 
 // FormatTableI renders Table I.
 func FormatTableI(rows []TableIRow) string {

@@ -54,30 +54,11 @@ func ArchForJob(j exp.Job) (*tech.Arch, error) {
 
 // NewRunner returns a campaign runner executing toolchain jobs on
 // workers goroutines (0 means all cores) with the optional cache.
-// The runner's shared evaluation-slot pool doubles as the probe
-// scheduler for adaptive-tier jobs: when slots sit idle (a campaign
-// tail narrower than the pool), a job's saturation search borrows
-// them for speculative bisection probes, so the pool stays busy
-// without ever oversubscribing the machine. For a runner with
-// metrics, traces, and logging attached, see NewObservedRunner.
+// Each job, saturation probes included, runs on its worker's
+// goroutine. For a runner with metrics, traces, and logging attached,
+// see NewObservedRunner.
 func NewRunner(workers int, cache *exp.Cache) *exp.Runner {
 	return NewObservedRunner(workers, cache, nil)
-}
-
-// runnerSched adapts the campaign runner's shared slot pool to the
-// simulator's ProbeScheduler interface.
-type runnerSched struct{ r *exp.Runner }
-
-// TryGo implements sim.ProbeScheduler over Runner.TryAcquire.
-func (s runnerSched) TryGo(fn func()) bool {
-	if !s.r.TryAcquire() {
-		return false
-	}
-	go func() {
-		defer s.r.Release()
-		fn()
-	}()
-	return true
 }
 
 // EvalJob executes one experiment job with the prediction toolchain.
@@ -87,18 +68,16 @@ func (s runnerSched) TryGo(fn func()) bool {
 // builds every job afresh, so it doubles as the oracle the runner's
 // shape memo is checked against.
 func EvalJob(j exp.Job) (*exp.Result, error) {
-	return evalJobSched(j, nil, nil, nil)
+	return evalJobWith(j, nil, nil)
 }
 
-// evalJobSched is EvalJob with an optional probe scheduler for
-// adaptive-tier speculative probes (NewRunner wires the runner's slot
-// pool; a nil scheduler runs every probe sequentially), an optional
-// trace span (NewObservedRunner records one tree per job), and an
-// optional shape memo sharing builds and zero-load anchors across
-// jobs (nil builds afresh). None of them changes results — only
-// wall-clock and observability — so all entry points produce
-// identical, cache-sound outputs.
-func evalJobSched(j exp.Job, sched sim.ProbeScheduler, span *obs.Span, memo *shapeMemo) (*exp.Result, error) {
+// evalJobWith is EvalJob with an optional trace span
+// (NewObservedRunner records one tree per job) and an optional shape
+// memo sharing builds and zero-load anchors across jobs (nil builds
+// afresh). Neither changes results — only wall-clock and
+// observability — so all entry points produce identical, cache-sound
+// outputs.
+func evalJobWith(j exp.Job, span *obs.Span, memo *shapeMemo) (*exp.Result, error) {
 	if j.Mode == exp.ModeSurrogate {
 		// The surrogate evaluator is simulation-free and shared with the
 		// design-space explorer (package dse owns it); delegating keeps
@@ -137,7 +116,7 @@ func evalJobSched(j exp.Job, sched sim.ProbeScheduler, span *obs.Span, memo *sha
 		}
 		_, measure := quality.simWindows()
 		anchor := e.anchor(j.Pattern, j.EffectiveSeed(), measure)
-		pred, err := predictShaped(b, j.Pattern, quality, j.EffectiveSeed(), anchor, sched, span)
+		pred, err := predictShaped(b, j.Pattern, quality, j.EffectiveSeed(), anchor, span)
 		if err != nil {
 			return nil, err
 		}

@@ -114,7 +114,7 @@ func TestLoadJobRejectsOversizedBuffers(t *testing.T) {
 	if res, err := EvalJob(j); err == nil || !strings.Contains(err.Error(), limit) {
 		t.Errorf("EvalJob: result %+v, err = %v, want the %q limit", res, err, limit)
 	}
-	if res, err := evalJobSched(j, nil, nil, newShapeMemo()); err == nil || !strings.Contains(err.Error(), limit) {
+	if res, err := evalJobWith(j, nil, newShapeMemo()); err == nil || !strings.Contains(err.Error(), limit) {
 		t.Errorf("memoized eval: result %+v, err = %v, want the %q limit", res, err, limit)
 	}
 }
@@ -136,7 +136,7 @@ func TestPredictJobRejectsOversizedPipeline(t *testing.T) {
 	if res, err := EvalJob(j); err == nil || !strings.Contains(err.Error(), limit) {
 		t.Errorf("EvalJob: result %+v, err = %v, want the %q limit", res, err, limit)
 	}
-	if res, err := evalJobSched(j, nil, nil, newShapeMemo()); err == nil || !strings.Contains(err.Error(), limit) {
+	if res, err := evalJobWith(j, nil, newShapeMemo()); err == nil || !strings.Contains(err.Error(), limit) {
 		t.Errorf("memoized eval: result %+v, err = %v, want the %q limit", res, err, limit)
 	}
 }

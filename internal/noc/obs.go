@@ -39,14 +39,13 @@ var phaseNames = map[string]bool{
 // uninstrumented NewRunner.
 func NewObservedRunner(workers int, cache *exp.Cache, hub *obs.Hub) *exp.Runner {
 	r := &exp.Runner{Workers: workers, Cache: cache}
-	sched := runnerSched{r: r}
 	// The runner owns one shape memo: jobs sharing a topology build —
 	// a load sweep's points, a topology's tiers, patterns, and seeds —
 	// share its Shape and zero-load anchors, instrumented or not, since
 	// sharing changes wall-clock only, never results.
 	memo := newShapeMemo()
 	if hub == nil {
-		r.Eval = func(j exp.Job) (*exp.Result, error) { return evalJobSched(j, sched, nil, memo) }
+		r.Eval = func(j exp.Job) (*exp.Result, error) { return evalJobWith(j, nil, memo) }
 		return r
 	}
 	r.Log = hub.Logger()
@@ -58,7 +57,7 @@ func NewObservedRunner(workers int, cache *exp.Cache, hub *obs.Hub) *exp.Runner 
 	}
 	r.Eval = func(j exp.Job) (*exp.Result, error) {
 		span := ob.begin(j)
-		res, err := evalJobSched(j, sched, span, memo)
+		res, err := evalJobWith(j, span, memo)
 		ob.finish(j, span, err)
 		return res, err
 	}
@@ -130,12 +129,6 @@ func RegisterMetrics(m *obs.Registry, r *exp.Runner, cache *exp.Cache) {
 	m.CounterFunc("sh_sim_cycles_saved_total",
 		"Simulated cycles avoided by adaptive control versus the fixed schedule.",
 		func() float64 { return float64(sim.Counters().CyclesSaved) })
-	m.CounterFunc("sh_sim_probes_speculated_total",
-		"Saturation probes launched speculatively on borrowed worker slots.",
-		func() float64 { return float64(sim.Counters().ProbesSpeculated) })
-	m.CounterFunc("sh_sim_probes_canceled_total",
-		"Speculative probes abandoned because a sibling's verdict made them irrelevant.",
-		func() float64 { return float64(sim.Counters().ProbesCanceled) })
 	m.CounterFunc("sh_sim_shape_builds_total",
 		"Shared topology builds (channel wiring + output-port LUT); sh_sim_builds_total / this is the build amortization of shape sharing.",
 		func() float64 { return float64(sim.Counters().ShapeBuilds) })
@@ -156,7 +149,6 @@ func RegisterMetrics(m *obs.Registry, r *exp.Runner, cache *exp.Cache) {
 				{Labels: []string{"none"}, Value: float64(c.VerdictsNone)},
 				{Labels: []string{"saturated"}, Value: float64(c.VerdictsSaturated)},
 				{Labels: []string{"stable"}, Value: float64(c.VerdictsStable)},
-				{Labels: []string{"interrupted"}, Value: float64(c.VerdictsInterrupted)},
 			}
 		})
 
@@ -182,7 +174,7 @@ func RegisterMetrics(m *obs.Registry, r *exp.Runner, cache *exp.Cache) {
 			"Job evaluations that panicked (each failed only its own job).",
 			func() float64 { return float64(r.Stats().Panics) })
 		m.GaugeFunc("sh_runner_evals_in_flight",
-			"Evaluation slots currently held (including borrowed probe slots).",
+			"Evaluation slots currently held.",
 			func() float64 { return float64(r.Stats().InFlight) })
 		m.GaugeFunc("sh_runner_waiting_jobs",
 			"Goroutines currently blocked waiting for an evaluation slot.",

@@ -91,11 +91,10 @@ func TestObservedRunnerRecordsSpanTree(t *testing.T) {
 	}
 }
 
-// TestObservedRunnerAdaptiveSpeculativeProbes exercises the
-// adaptive-tier bisection with borrowed worker slots — speculative
-// probes are forked and adopted across goroutines, which is exactly
-// what the race detector must stay quiet about — and checks the
-// adopted probe spans still land under the saturation span.
+// TestObservedRunnerAdaptiveSpeculativeProbes runs an adaptive-tier
+// job on an observed runner and checks that every bisection probe's
+// span lands under the saturation span. (The test's name is
+// historical: every probe runs on the job's goroutine.)
 func TestObservedRunnerAdaptiveSpeculativeProbes(t *testing.T) {
 	hub := obs.NewHub()
 	r := NewObservedRunner(4, nil, hub)

@@ -262,9 +262,9 @@ func Figure6Panels(ids []tech.ScenarioID, quality Quality, r *exp.Runner, opts *
 // Hamming graph uses the monotone dimension-order routing it is
 // co-designed with, as Section II-C prescribes.
 //
-// Note (see EXPERIMENTS.md): giving the hypercube its topology-tuned
-// e-cube routing instead would raise its saturation throughput above
-// the sparse Hamming graph's — the routing ablation benchmark
+// Note: giving the hypercube its topology-tuned e-cube routing instead
+// would raise its saturation throughput above the sparse Hamming
+// graph's — the routing ablation benchmark (BenchmarkAblationRouting)
 // quantifies this.
 func Figure6Routing(kind string) string {
 	if kind == "hypercube" {

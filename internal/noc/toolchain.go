@@ -27,13 +27,12 @@ type Quality int
 // Quality levels: Quick for tests and interactive exploration, Full
 // for the benchmark harness regenerating the paper's figures, and
 // Adaptive for the adaptive-control tier — Quick's budgets as hard
-// caps, but every saturation probe may return an early verdict, the
-// measurement phase stops once the latency confidence interval has
-// converged, and bisection probes run speculatively in parallel when
-// worker slots are free (see internal/sim's Control). Fixed-budget
-// tiers stay bit-identical to previous releases; Adaptive trades
-// bit-stability of the pinned artifacts for a >=2x cheaper campaign
-// with metrics within a couple percent.
+// caps, but every saturation probe may return an early verdict, and
+// the measurement phase stops once the latency confidence interval
+// has converged (see internal/sim's Control). Fixed-budget tiers stay
+// bit-identical to previous releases; Adaptive trades bit-stability
+// of the pinned artifacts for a >=2x cheaper campaign with metrics
+// within a couple percent.
 const (
 	Quick Quality = iota
 	Full
@@ -132,28 +131,26 @@ const RouterDelay = tech.RouterDelay
 
 // Predict runs the full toolchain for one topology.
 func Predict(arch *tech.Arch, t *topo.Topology, quality Quality) (*Prediction, error) {
-	return predictSeeded(arch, t, "", "", quality, 1, nil, nil)
+	return predictSeeded(arch, t, "", "", quality, 1, nil)
 }
 
 // PredictWith runs the toolchain with an explicit routing algorithm
 // (used by the routing ablation).
 func PredictWith(arch *tech.Arch, t *topo.Topology, alg route.Algorithm, quality Quality) (*Prediction, error) {
-	return predictSeeded(arch, t, routingName(alg), "", quality, 1, nil, nil)
+	return predictSeeded(arch, t, routingName(alg), "", quality, 1, nil)
 }
 
 // predictSeeded runs the toolchain with explicit routing and traffic
 // pattern names (route and sim registries; empty for the co-designed
 // default and uniform random) and an explicit simulation seed.
-// sched, when non-nil, lets the adaptive tier's saturation search
-// borrow spare worker slots for speculative probes; span, when
-// non-nil, receives the execution trace (both wall-clock/observability
+// span, when non-nil, receives the execution trace (observability
 // only; never part of the result).
-func predictSeeded(arch *tech.Arch, t *topo.Topology, routing, pattern string, quality Quality, seed int64, sched sim.ProbeScheduler, span *obs.Span) (*Prediction, error) {
+func predictSeeded(arch *tech.Arch, t *topo.Topology, routing, pattern string, quality Quality, seed int64, span *obs.Span) (*Prediction, error) {
 	b, err := newBuild(arch, t, routing, span)
 	if err != nil {
 		return nil, err
 	}
-	return predictShaped(b, pattern, quality, seed, nil, sched, span)
+	return predictShaped(b, pattern, quality, seed, nil, span)
 }
 
 // predictShaped is the simulation half of predictSeeded over a
@@ -164,7 +161,7 @@ func predictSeeded(arch *tech.Arch, t *topo.Topology, routing, pattern string, q
 // run between the searches of one (pattern, seed) — the caller must
 // key anchors as sim.ZeroLoadScheduleKey requires. Results are
 // bit-identical either way.
-func predictShaped(b *build, pattern string, quality Quality, seed int64, anchor *sim.ZeroLoadAnchor, sched sim.ProbeScheduler, span *obs.Span) (*Prediction, error) {
+func predictShaped(b *build, pattern string, quality Quality, seed int64, anchor *sim.ZeroLoadAnchor, span *obs.Span) (*Prediction, error) {
 	t, r, cost := b.t, b.rt, b.cost
 	pat, err := sim.PatternByName(pattern, t.Rows, t.Cols)
 	if err != nil {
@@ -176,7 +173,7 @@ func predictShaped(b *build, pattern string, quality Quality, seed int64, anchor
 	base := b.config()
 	base.Pattern, base.Seed = pat, seed
 	base.Warmup, base.Measure = warmup, measure
-	base.Control, base.Sched, base.Span = quality.simControl(), sched, satSpan
+	base.Control, base.Span = quality.simControl(), satSpan
 	sat, err := sim.SaturationThroughputAnchored(b.sh, base, anchor)
 	satSpan.SetAttr("probes", sat.Probes)
 	satSpan.End()

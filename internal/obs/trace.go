@@ -18,11 +18,8 @@ const DefaultTraceCap = 256
 // instrumentation sites never need nil checks — an untraced execution
 // threads nil spans everywhere at no cost beyond the nil test.
 //
-// Concurrency: a span's direct mutators (End, SetAttr, Child, Adopt)
-// are mutex-guarded, so concurrent children of one parent are safe.
-// Speculative work that may outlive its trace (e.g. a canceled probe
-// goroutine) must build its subtree on a detached span from Fork and
-// only Adopt it into the tree from the consuming goroutine.
+// Concurrency: a span's direct mutators (End, SetAttr, Child) are
+// mutex-guarded, so concurrent children of one parent are safe.
 type Span struct {
 	// Name identifies the region ("job", "saturation", "probe",
 	// "warmup", ...).
@@ -56,41 +53,17 @@ func (s *Span) Child(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	c := s.Fork(name)
-	s.Adopt(c)
-	return c
-}
-
-// Fork starts a span sharing s's epoch but NOT attached to the tree.
-// Use it for speculative work that may be canceled: the producing
-// goroutine mutates only the forked subtree, and the consumer calls
-// Adopt if and when the work is actually used. Returns nil on a nil
-// receiver.
-func (s *Span) Fork(name string) *Span {
-	if s == nil {
-		return nil
-	}
 	now := time.Now()
-	s.mu.Lock()
-	epoch := s.epoch
-	s.mu.Unlock()
-	return &Span{
+	c := &Span{
 		Name:    name,
-		StartMs: float64(now.Sub(epoch)) / float64(time.Millisecond),
-		epoch:   epoch,
+		StartMs: float64(now.Sub(s.epoch)) / float64(time.Millisecond),
+		epoch:   s.epoch,
 		start:   now,
-	}
-}
-
-// Adopt attaches a forked span (and its subtree) as a child. No-op if
-// either span is nil.
-func (s *Span) Adopt(c *Span) {
-	if s == nil || c == nil {
-		return
 	}
 	s.mu.Lock()
 	s.Children = append(s.Children, c)
 	s.mu.Unlock()
+	return c
 }
 
 // End fixes the span's duration. Safe to call more than once (the

@@ -46,11 +46,6 @@ const (
 	// VerdictStable: the latency confidence interval tightened below
 	// the target and the measurement phase was truncated early.
 	VerdictStable
-	// VerdictInterrupted: the run was abandoned through
-	// Control.Interrupt (speculative probes made irrelevant by a
-	// sibling's verdict); its statistics are partial and must be
-	// discarded.
-	VerdictInterrupted
 )
 
 // String names the verdict.
@@ -60,8 +55,6 @@ func (v Verdict) String() string {
 		return "saturated"
 	case VerdictStable:
 		return "stable"
-	case VerdictInterrupted:
-		return "interrupted"
 	default:
 		return "none"
 	}
@@ -138,12 +131,6 @@ type Control struct {
 	// the stopping rule may fire (default 5; values below the viable
 	// minimum of 2 take the default).
 	MinBatches int
-
-	// Interrupt, when non-nil, abandons the run (VerdictInterrupted)
-	// as soon as the channel is closed, checked once per window. The
-	// speculative saturation search closes it on probes whose outcome
-	// a completed sibling has made irrelevant.
-	Interrupt <-chan struct{}
 }
 
 // Control defaults.
@@ -179,21 +166,6 @@ func (c Control) withDefaults() Control {
 	return c
 }
 
-// ProbeScheduler runs speculative saturation probes on borrowed
-// worker slots. TryGo runs fn on another goroutine when a slot is
-// free and returns true; false means no capacity is available and the
-// caller proceeds sequentially. Implementations must release the slot
-// when fn returns; they need no recover, since fn turns a panic in its
-// probe into that probe's outcome error. The experiment-campaign
-// runner (package exp) implements this over its shared
-// evaluation-slot pool; the bridge lives in package noc so sim stays
-// free of campaign dependencies.
-type ProbeScheduler interface {
-	// TryGo runs fn concurrently if capacity is free, returning
-	// whether it did.
-	TryGo(fn func()) bool
-}
-
 // ctlState is the per-run monitor state (allocated once per Run when
 // Config.Control is set; the fixed-budget path never touches it).
 type ctlState struct {
@@ -214,12 +186,6 @@ type ctlState struct {
 	warmLat    float64
 	warmAcc    float64
 	warmStreak int
-
-	// done is set once a stable verdict truncated the measurement:
-	// the monitors are finished, but interrupt polling must survive
-	// through the drain so a canceled speculative probe still lets go
-	// of its borrowed worker slot promptly.
-	done bool
 
 	// Batch means of packet latency and accepted rate over measurement
 	// windows, for the steady-state and verdict-decided stopping
@@ -259,17 +225,6 @@ func (s *Simulator) controlCheck(t int64) Verdict {
 	st := s.ctl
 	c := &st.cfg
 	st.nextCheck = t + int64(c.Window)
-
-	if c.Interrupt != nil {
-		select {
-		case <-c.Interrupt:
-			return VerdictInterrupted
-		default:
-		}
-	}
-	if st.done {
-		return VerdictNone // monitors retired; only interrupt polling remains
-	}
 
 	// Adaptive warmup termination: consecutive warmup windows whose
 	// latency and accepted-rate batch means agree within tolerance

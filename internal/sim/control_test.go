@@ -1,12 +1,6 @@
 package sim
 
 import (
-	"bytes"
-	"math/rand"
-	"runtime"
-	"strconv"
-	"strings"
-	"sync"
 	"testing"
 
 	"sparsehamming/internal/route"
@@ -138,71 +132,6 @@ func TestAdaptiveSaturationMatchesFixed(t *testing.T) {
 	}
 }
 
-// poolSched is a ProbeScheduler over a plain semaphore, standing in
-// for the campaign runner's shared slot pool.
-type poolSched struct {
-	sem chan struct{}
-	wg  sync.WaitGroup
-}
-
-func newPoolSched(slots int) *poolSched {
-	return &poolSched{sem: make(chan struct{}, slots)}
-}
-
-// TryGo implements ProbeScheduler.
-func (p *poolSched) TryGo(fn func()) bool {
-	select {
-	case p.sem <- struct{}{}:
-	default:
-		return false
-	}
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		defer func() { <-p.sem }()
-		fn()
-	}()
-	return true
-}
-
-// TestSpeculativeBisectionDeterministic: the speculative parallel
-// search must return exactly the sequential adaptive search's result
-// — same rate, same probe count, same simulated-cycle accounting —
-// because speculation must affect wall-clock only.
-func TestSpeculativeBisectionDeterministic(t *testing.T) {
-	cfg := meshConfig(t, 0)
-	cfg.Measure = 2000
-	cfg.Control = &Control{RelHalfWidth: 0.02}
-
-	seq, err := SaturationThroughput(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched := newPoolSched(runtime.GOMAXPROCS(0))
-	cfg.Sched = sched
-	spec, err := SaturationThroughput(cfg)
-	sched.wg.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spec.SaturationRate != seq.SaturationRate {
-		t.Errorf("speculative rate %.4f != sequential %.4f", spec.SaturationRate, seq.SaturationRate)
-	}
-	if spec.Probes != seq.Probes {
-		t.Errorf("speculative probes %d != sequential %d", spec.Probes, seq.Probes)
-	}
-	if spec.SimCycles != seq.SimCycles || spec.SimFlitHops != seq.SimFlitHops {
-		t.Errorf("speculative work (%d cy, %d hops) != sequential (%d cy, %d hops)",
-			spec.SimCycles, spec.SimFlitHops, seq.SimCycles, seq.SimFlitHops)
-	}
-	if spec.CyclesSaved != seq.CyclesSaved {
-		t.Errorf("speculative saved %d != sequential %d", spec.CyclesSaved, seq.CyclesSaved)
-	}
-	if len(spec.Samples) != len(seq.Samples) {
-		t.Errorf("speculative samples %d != sequential %d", len(spec.Samples), len(seq.Samples))
-	}
-}
-
 // deadlockConfig builds a configuration that genuinely deadlocks: a
 // ring routed with its dateline classes erased (route.FromPaths), so
 // the channel dependency cycle closes under backpressure.
@@ -320,80 +249,4 @@ func relDiff(a, b float64) float64 {
 		return 0
 	}
 	return d / b
-}
-
-// goroutineID returns the calling goroutine's id, parsed from the
-// "goroutine N [...]" header of its stack trace.
-func goroutineID() uint64 {
-	buf := make([]byte, 64)
-	buf = buf[:runtime.Stack(buf, false)]
-	buf = bytes.TrimPrefix(buf, []byte("goroutine "))
-	id, err := strconv.ParseUint(string(buf[:bytes.IndexByte(buf, ' ')]), 10, 64)
-	if err != nil {
-		panic(err)
-	}
-	return id
-}
-
-// panicAwayFromHome draws uniform destinations on its home goroutine
-// and panics on every other one: inside a saturation search whose
-// home it is, exactly the speculative probes panic.
-type panicAwayFromHome struct {
-	UniformRandom
-	home uint64
-}
-
-func (p *panicAwayFromHome) Dest(src int, rng *rand.Rand) int {
-	if goroutineID() != p.home {
-		panic("injected probe fault")
-	}
-	return p.UniformRandom.Dest(src, rng)
-}
-
-// TestSpeculativeProbePanicFailsOnlyItsSearch: a panic inside a
-// speculative probe's goroutine must not kill the process. It becomes
-// that probe's outcome error, fails the one search that consumes it,
-// and leaves a sibling search running beside it — on another
-// scheduler, concurrently — with its deterministic result.
-func TestSpeculativeProbePanicFailsOnlyItsSearch(t *testing.T) {
-	good := meshConfig(t, 0)
-	good.Measure = 1000
-	good.Control = &Control{RelHalfWidth: 0.05}
-	want, err := SaturationThroughput(good)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	badSched, goodSched := newPoolSched(1), newPoolSched(1)
-	var wg sync.WaitGroup
-	var badErr, goodErr error
-	var got SaturationResult
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		bad := good
-		bad.Pattern = &panicAwayFromHome{UniformRandom: UniformRandom{N: good.Topo.NumTiles()}, home: goroutineID()}
-		bad.Sched = badSched
-		_, badErr = SaturationThroughput(bad)
-	}()
-	go func() {
-		defer wg.Done()
-		c := good
-		c.Sched = goodSched
-		got, goodErr = SaturationThroughput(c)
-	}()
-	wg.Wait()
-	badSched.wg.Wait()
-	goodSched.wg.Wait()
-
-	if badErr == nil || !strings.Contains(badErr.Error(), "panicked: injected probe fault") {
-		t.Errorf("search with a panicking speculative probe: err = %v, want the recovered panic", badErr)
-	}
-	if goodErr != nil {
-		t.Fatalf("sibling search failed: %v", goodErr)
-	}
-	if got.SaturationRate != want.SaturationRate || got.SimCycles != want.SimCycles {
-		t.Errorf("sibling search rate %.4f (%d cy), want %.4f (%d cy)",
-			got.SaturationRate, got.SimCycles, want.SaturationRate, want.SimCycles)
-	}
 }

@@ -13,14 +13,11 @@ var counters struct {
 	flitHops  atomic.Int64
 	deadlocks atomic.Int64
 
-	verdictNone        atomic.Int64
-	verdictSaturated   atomic.Int64
-	verdictStable      atomic.Int64
-	verdictInterrupted atomic.Int64
+	verdictNone      atomic.Int64
+	verdictSaturated atomic.Int64
+	verdictStable    atomic.Int64
 
-	cyclesSaved      atomic.Int64
-	probesSpeculated atomic.Int64
-	probesCanceled   atomic.Int64
+	cyclesSaved atomic.Int64
 
 	shapeBuilds atomic.Int64
 	simBuilds   atomic.Int64
@@ -44,22 +41,16 @@ type CounterSnapshot struct {
 	// Deadlocks counts runs the watchdog declared deadlocked.
 	Deadlocks int64
 
-	// VerdictNone..VerdictsInterrupted count runs by how they ended
-	// (see Verdict).
-	VerdictsNone        int64
-	VerdictsSaturated   int64
-	VerdictsStable      int64
-	VerdictsInterrupted int64
+	// VerdictsNone..VerdictsStable count runs by how they ended (see
+	// Verdict).
+	VerdictsNone      int64
+	VerdictsSaturated int64
+	VerdictsStable    int64
 
 	// CyclesSaved totals the simulated cycles adaptive control avoided
 	// versus the fixed injection schedule (see
 	// SaturationResult.CyclesSaved).
 	CyclesSaved int64
-	// ProbesSpeculated counts saturation probes launched speculatively
-	// on borrowed worker slots; ProbesCanceled counts those abandoned
-	// because a sibling's verdict made them irrelevant.
-	ProbesSpeculated int64
-	ProbesCanceled   int64
 
 	// ShapeBuilds counts shared topology builds (Shape constructions:
 	// channel wiring + output-port LUT) and SimBuilds counts replica
@@ -84,22 +75,19 @@ type CounterSnapshot struct {
 // Counters returns a snapshot of the process-wide simulation counters.
 func Counters() CounterSnapshot {
 	return CounterSnapshot{
-		Runs:                counters.runs.Load(),
-		Cycles:              counters.cycles.Load(),
-		FlitHops:            counters.flitHops.Load(),
-		Deadlocks:           counters.deadlocks.Load(),
-		VerdictsNone:        counters.verdictNone.Load(),
-		VerdictsSaturated:   counters.verdictSaturated.Load(),
-		VerdictsStable:      counters.verdictStable.Load(),
-		VerdictsInterrupted: counters.verdictInterrupted.Load(),
-		CyclesSaved:         counters.cyclesSaved.Load(),
-		ProbesSpeculated:    counters.probesSpeculated.Load(),
-		ProbesCanceled:      counters.probesCanceled.Load(),
-		ShapeBuilds:         counters.shapeBuilds.Load(),
-		SimBuilds:           counters.simBuilds.Load(),
-		AnchorReuses:        counters.anchorReuses.Load(),
-		TraceParses:         counters.traceParses.Load(),
-		TraceMemoHits:       counters.traceMemoHits.Load(),
+		Runs:              counters.runs.Load(),
+		Cycles:            counters.cycles.Load(),
+		FlitHops:          counters.flitHops.Load(),
+		Deadlocks:         counters.deadlocks.Load(),
+		VerdictsNone:      counters.verdictNone.Load(),
+		VerdictsSaturated: counters.verdictSaturated.Load(),
+		VerdictsStable:    counters.verdictStable.Load(),
+		CyclesSaved:       counters.cyclesSaved.Load(),
+		ShapeBuilds:       counters.shapeBuilds.Load(),
+		SimBuilds:         counters.simBuilds.Load(),
+		AnchorReuses:      counters.anchorReuses.Load(),
+		TraceParses:       counters.traceParses.Load(),
+		TraceMemoHits:     counters.traceMemoHits.Load(),
 	}
 }
 
@@ -117,8 +105,6 @@ func countRun(st *Stats) {
 		counters.verdictSaturated.Add(1)
 	case VerdictStable:
 		counters.verdictStable.Add(1)
-	case VerdictInterrupted:
-		counters.verdictInterrupted.Add(1)
 	default:
 		counters.verdictNone.Add(1)
 	}

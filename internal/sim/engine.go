@@ -149,7 +149,8 @@ type Simulator struct {
 	flitHops      int64
 
 	// ctl holds the adaptive-control monitor state; nil for
-	// fixed-budget runs, whose hot path never touches it.
+	// fixed-budget runs, whose hot path never touches it, and from a
+	// stable verdict on.
 	ctl *ctlState
 
 	// replaySched is the scaled injection schedule when the replica's
@@ -310,18 +311,17 @@ loop:
 		}
 		if s.ctl != nil && t == s.ctl.nextCheck {
 			switch v := s.controlCheck(t); v {
-			case VerdictSaturated, VerdictInterrupted:
+			case VerdictSaturated:
 				verdict = v
 				break loop
 			case VerdictStable:
 				// Truncate the measurement phase here and drain
 				// normally, so the delivered statistics stay
-				// unbiased; injection stops this cycle. The monitor
-				// state stays alive in done mode: interrupt polling
-				// must keep working through the drain.
+				// unbiased; injection stops this cycle. The
+				// monitors are finished: no further checks.
 				verdict = v
 				s.measureEnd = t
-				s.ctl.done = true
+				s.ctl = nil
 			}
 		}
 		s.step(t < s.measureEnd)

@@ -7,9 +7,7 @@ package sim
 // mesh, a flattened butterfly, a sparse Hamming graph, a
 // configuration whose every probe saturates (the lower-bound report),
 // and one whose loaded probes deadlock.
-// Each case runs on the fixed tier and on the adaptive tier; the
-// adaptive tier runs again with a probe scheduler, whose speculative
-// probes must not change a single field.
+// Each case runs on the fixed tier and on the adaptive tier.
 //
 // Regenerate after an intentional search or engine change with
 //
@@ -19,7 +17,6 @@ import (
 	"encoding/json"
 	"os"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"sparsehamming/internal/route"
@@ -93,18 +90,6 @@ func TestGoldenSaturation(t *testing.T) {
 			t.Fatalf("%s/adaptive: %v", name, err)
 		}
 		got[name+"/adaptive"] = adaptive
-
-		sched := newPoolSched(runtime.GOMAXPROCS(0))
-		cfg.Sched = sched
-		spec, err := SaturationThroughput(cfg)
-		sched.wg.Wait()
-		if err != nil {
-			t.Fatalf("%s/adaptive with a scheduler: %v", name, err)
-		}
-		if !reflect.DeepEqual(spec, adaptive) {
-			t.Errorf("%s: speculative search diverges from the sequential one:\nspeculative %+v\nsequential  %+v",
-				name, spec, adaptive)
-		}
 	}
 	if lb := got["lower-bound/fixed"]; !lb.LowerBound {
 		t.Errorf("lower-bound case did not bottom out: %+v", lb)

@@ -12,14 +12,9 @@ package sim
 // it. With Config.Control set, every probe runs under early-verdict
 // monitors (saturated probes stop in a small fraction of their
 // budget, stable probes stop once their latency confidence interval
-// converges) and, when Config.Sched provides spare worker slots, the
-// search speculatively issues the next bisection probes for both
-// possible outcomes of the one in flight, canceling the probe the
-// verdict makes irrelevant. Speculation is wall-clock-only: the
-// probes whose verdicts the search consumes are exactly the
-// sequential bisection sequence, so the result — including its
-// SimCycles accounting — is deterministic whether or not any
-// speculation happened.
+// converges). On both tiers the probes run one after another on the
+// searching goroutine, so the result — including its SimCycles
+// accounting — is deterministic in the configuration.
 
 import (
 	"fmt"
@@ -136,10 +131,7 @@ type SaturationResult struct {
 	SimFlitHops int64
 
 	// Probes counts the saturation probes whose verdicts the search
-	// used (the zero-load reference run is not a probe). Speculative
-	// probes canceled or discarded before their verdict was needed are
-	// excluded, which keeps the count — like every other field —
-	// deterministic in the configuration.
+	// used (the zero-load reference run is not a probe).
 	Probes int
 
 	// CyclesSaved conservatively estimates the simulated cycles the
@@ -204,8 +196,7 @@ func satVerdict(st Stats, zl, rate float64) bool {
 // SaturationThroughput binary-searches the offered load for the
 // saturation point. The passed config's InjectionRate is ignored.
 // With Config.Control set the search runs on the adaptive tier (early
-// verdicts, steady-state stopping, speculative parallel bisection over
-// Config.Sched); see the file comment.
+// verdicts, steady-state stopping); see the file comment.
 func SaturationThroughput(cfg Config) (SaturationResult, error) {
 	cfg.Defaults()
 	// One shared Shape serves the zero-load reference and every probe:
@@ -239,7 +230,6 @@ func SaturationThroughputAnchored(sh *Shape, cfg Config, anchor *ZeroLoadAnchor)
 			cfg.Pattern.Name())
 	}
 	p := newProber(sh, cfg)
-	defer p.cancelExcept(-1) // no speculative probe outlives the search
 
 	// Zero-load reference run, on the exact fixed schedule on both
 	// tiers: it is cheap (almost no flits move at 0.5% load), it is the
@@ -265,9 +255,7 @@ func SaturationThroughputAnchored(sh *Shape, cfg Config, anchor *ZeroLoadAnchor)
 
 	lo, hi := 0.0, 1.0
 	// Establish whether full load already saturates (it almost always
-	// does except for near-ideal networks), speculating meanwhile on
-	// that outcome: the first midpoint.
-	p.speculate(0.5)
+	// does except for near-ideal networks).
 	sat, err := p.probe(&res, 1.0)
 	if err != nil {
 		return res, err
@@ -278,22 +266,14 @@ func SaturationThroughputAnchored(sh *Shape, cfg Config, anchor *ZeroLoadAnchor)
 	}
 	for i := 0; i < bisectionSteps; i++ {
 		mid := (lo + hi) / 2
-		if i < bisectionSteps-1 {
-			// Speculate the next midpoint for both possible verdicts
-			// of the probe at mid.
-			p.speculate((lo + mid) / 2)
-			p.speculate((mid + hi) / 2)
-		}
 		sat, err := p.probe(&res, mid)
 		if err != nil {
 			return res, err
 		}
 		if sat {
 			hi = mid
-			p.cancelExcept((lo + mid) / 2)
 		} else {
 			lo = mid
-			p.cancelExcept((mid + hi) / 2)
 		}
 	}
 	finishSearch(&res, lo, hi)

@@ -68,12 +68,6 @@ type Config struct {
 	// fixed-budget schedule bit for bit. See control.go.
 	Control *Control
 
-	// Sched, when non-nil, lets saturation searches execute
-	// speculative probes concurrently on borrowed worker slots. It
-	// affects wall-clock time only — never results — and is therefore
-	// not part of any job identity.
-	Sched ProbeScheduler
-
 	// Span, when non-nil, receives the execution trace: the engine
 	// attaches warmup/measure/drain phase child spans, and the
 	// saturation searches attach zero-load and per-probe spans (see

@@ -48,10 +48,10 @@ type hopStep struct {
 
 // Shape is the replica-independent build product of one (topology,
 // routing, link-latency) configuration: the directed-channel layout,
-// the per-router channel wiring, and the per-(src,dst) routing LUT. It is read-only after NewShape returns and therefore safe to
-// share across replicas running concurrently (the adaptive saturation
-// search's speculative probes instantiate from one Shape on several
-// goroutines).
+// the per-router channel wiring, and the per-(src,dst) routing LUT.
+// It is read-only after NewShape returns and therefore safe to share
+// across replicas running concurrently (jobs of one campaign that
+// share a memoized Shape instantiate from it on several goroutines).
 type Shape struct {
 	topo    *topo.Topology
 	routing *route.Routing

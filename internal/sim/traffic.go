@@ -1,6 +1,6 @@
 // Package sim is a cycle-accurate network-on-chip simulator, the
 // repository's stand-in for BookSim2 in the prediction toolchain of
-// Figure 3 (see DESIGN.md, "Substitutions").
+// Figure 3 (see docs/SUBSTITUTIONS.md).
 //
 // The simulated microarchitecture matches the paper's evaluation
 // configuration: input-queued routers with virtual channels (default

@@ -226,7 +226,7 @@ func ParseFile(path string) (*Spec, error) {
 // QualityNames lists the simulation quality tiers the toolchain
 // implements (package noc), in canonical order: the fixed-budget
 // "quick" and "full" tiers, and the adaptive-control "adaptive" tier
-// (quick's budgets as caps, early verdicts and speculative probes
+// (quick's budgets as caps, early verdicts and steady-state stopping
 // inside them). Validation and the campaign service's registry
 // endpoint both derive from this list.
 func QualityNames() []string { return []string{"quick", "full", "adaptive"} }

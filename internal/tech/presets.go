@@ -5,8 +5,8 @@ package tech
 // 35 MGE comes out near 11 mm² (Knights Corner packs 62 such tiles
 // into a ~700 mm² die in 22 nm), and running the MemPool architecture
 // description through the toolchain lands in the ballpark of the
-// paper's Table III predictions (24.26 mm², 1.447 W). See DESIGN.md
-// ("Substitutions") and EXPERIMENTS.md for the calibration story.
+// paper's Table III predictions (24.26 mm², 1.447 W). See
+// docs/SUBSTITUTIONS.md for the calibration story.
 
 // Node22nm returns the 22 nm-class technology node used by all
 // evaluation scenarios (Section V: "implemented in a 22 nm technology

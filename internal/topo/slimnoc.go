@@ -19,7 +19,7 @@ import (
 // MMS construction thins the intra-column cliques using quadratic-
 // residue generator sets; that refinement changes the radix constant,
 // not the diameter or the routability profile, and is documented as a
-// substitution in DESIGN.md.)
+// substitution in docs/SUBSTITUTIONS.md.)
 //
 // Grid placement: part 0 occupies the left q columns with x as the
 // column and y as the row; part 1 occupies the right q columns.
