@@ -3,7 +3,8 @@
 //
 //	BenchmarkTableI      — design-principle compliance (Table I)
 //	BenchmarkTableIII    — MemPool toolchain validation (Table III)
-//	BenchmarkFigure6a..d — the four topology-comparison panels (Fig. 6)
+//	BenchmarkFigure6a..d — the four topology-comparison panels (Fig. 6),
+//	                       run from examples/specs/figure6-quick.json
 //	BenchmarkCustomize   — the Section V customization strategy
 //	BenchmarkAblation*   — design-choice ablations (routing, spacing, models, buffers)
 //
@@ -25,6 +26,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 
 	"sparsehamming/internal/dse"
@@ -32,8 +35,10 @@ import (
 	"sparsehamming/internal/noc"
 	"sparsehamming/internal/perf"
 	"sparsehamming/internal/phys"
+	"sparsehamming/internal/report"
 	"sparsehamming/internal/route"
 	"sparsehamming/internal/sim"
+	"sparsehamming/internal/spec"
 	"sparsehamming/internal/tech"
 	"sparsehamming/internal/topo"
 )
@@ -118,38 +123,53 @@ func BenchmarkTableIII(b *testing.B) { tableIIIBench(b, noc.Quick, "TableIII") }
 // adaptive simulation-control tier.
 func BenchmarkTableIIIAdaptive(b *testing.B) { tableIIIBench(b, noc.Adaptive, "TableIIIAdaptive") }
 
-// figure6Bench regenerates one scenario panel at a quality tier and
-// records the campaign's simulation speed (simulated cycles per wall
-// second) plus, on the adaptive tier, the cycles its early verdicts
-// avoided.
+// figure6Bench regenerates one scenario panel of the checked-in
+// Figure 6 spec at a quality tier (the sweep labelled id of
+// examples/specs/figure6-<tier>.json) and records the campaign's
+// simulation speed (simulated cycles per wall second) plus, on the
+// adaptive tier, the cycles its early verdicts avoided.
 func figure6Bench(b *testing.B, id tech.ScenarioID, quality noc.Quality, bench string) {
 	b.Helper()
+	s, err := spec.ParseFile(filepath.Join("examples", "specs", "figure6-"+noc.QualityName(quality)+".json"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	groups, err := s.ExpandSweeps()
+	if err != nil {
+		b.Fatal(err)
+	}
+	pi := slices.Index(s.Labels(), string(id))
+	if pi < 0 {
+		b.Fatalf("%s has no sweep %q", s.Name, id)
+	}
+	jobs := groups[pi]
 	meter := perf.StartMeter()
 	metrics := map[string]float64{}
 	var simCycles, simFlitHops, cyclesSaved int64
 	c0 := sim.Counters()
 	for i := 0; i < b.N; i++ {
-		panels, stats, err := noc.Figure6Panels([]tech.ScenarioID{id}, quality, nil, nil)
+		results, _, err := noc.NewRunner(0, nil).Run(jobs)
 		if err != nil {
 			b.Fatal(err)
 		}
-		rows := panels[0]
-		simCycles += stats[0].SimCycles
-		simFlitHops += stats[0].SimFlitHops
-		cyclesSaved += stats[0].CyclesSaved
+		for _, r := range results {
+			simCycles += r.SimCycles
+			simFlitHops += r.SimFlitHops
+			cyclesSaved += r.SimCyclesSaved
+		}
 		if i != 0 {
 			continue
 		}
-		fmt.Printf("\nFigure 6%s (%s):\n", id, noc.QualityName(quality))
-		fmt.Print(noc.FormatFigure6(rows))
-		for _, r := range rows {
+		fmt.Println()
+		report.WriteSweepTable(os.Stdout, s, pi, jobs, results)
+		for _, r := range results {
 			if r.Topology == "sparse-hamming" {
-				b.ReportMetric(r.Pred.SaturationPct, "shg_sat_%")
-				b.ReportMetric(r.Pred.ZeroLoadLatency, "shg_zl_cy")
-				b.ReportMetric(r.Pred.AreaOverheadPct, "shg_ovh_%")
-				metrics["shg_sat_%"] = r.Pred.SaturationPct
-				metrics["shg_zl_cy"] = r.Pred.ZeroLoadLatency
-				metrics["shg_ovh_%"] = r.Pred.AreaOverheadPct
+				b.ReportMetric(r.SaturationPct, "shg_sat_%")
+				b.ReportMetric(r.ZeroLoadLatency, "shg_zl_cy")
+				b.ReportMetric(r.AreaOverheadPct, "shg_ovh_%")
+				metrics["shg_sat_%"] = r.SaturationPct
+				metrics["shg_zl_cy"] = r.ZeroLoadLatency
+				metrics["shg_ovh_%"] = r.AreaOverheadPct
 			}
 		}
 	}

@@ -135,7 +135,7 @@ func main() {
 	}
 	camp.Close()
 	if *trace > 0 {
-		t, err := cli.Build(*kind, arch.Rows, arch.Cols, srs, scs)
+		t, err := topo.ByName(*kind, arch.Rows, arch.Cols, srs, scs)
 		if err != nil {
 			fatal(err)
 		}

@@ -2,7 +2,9 @@
 // topologies evaluated on the same architecture — and reproduce the
 // paper's conclusion: the customized sparse Hamming graph achieves
 // the highest saturation throughput among all topologies within the
-// 40% area-overhead budget.
+// 40% area-overhead budget. The panel is the scenario's sweep of the
+// checked-in examples/specs/figure6-quick.json, the same campaign
+// shrun runs.
 //
 // Run with: go run ./examples/compare [scenario]
 package main
@@ -11,8 +13,11 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
 
 	"sparsehamming/internal/noc"
+	"sparsehamming/internal/report"
+	"sparsehamming/internal/spec"
 	"sparsehamming/internal/tech"
 )
 
@@ -28,25 +33,37 @@ func main() {
 	fmt.Printf("Figure 6%s: %d tiles with %.0f MGE and %d core(s) each\n\n",
 		id, arch.NumTiles(), arch.EndpointGE/1e6, arch.CoresPerTile)
 
-	rows, err := noc.Figure6(id, noc.Quick)
+	s, err := spec.ParseFile("examples/specs/figure6-quick.json")
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Print(noc.FormatFigure6(rows))
+	groups, err := s.ExpandSweeps()
+	if err != nil {
+		log.Fatal(err)
+	}
+	pi := slices.Index(s.Labels(), string(id))
+	if pi < 0 {
+		log.Fatalf("%s has no sweep for scenario %s", s.Name, id)
+	}
+	results, _, err := noc.NewRunner(0, nil).Run(groups[pi])
+	if err != nil {
+		log.Fatal(err)
+	}
+	report.WriteSweepTable(os.Stdout, s, pi, groups[pi], results)
 
 	// The paper's reading of the figure: restrict to the topologies
 	// meeting the cost budget, then rank by throughput and latency.
-	fmt.Println("\ntopologies within the 40% area-overhead budget:")
+	fmt.Println("topologies within the 40% area-overhead budget:")
 	var bestName string
 	var bestSat float64
-	for _, r := range rows {
-		if !r.Applicable || r.Pred.AreaOverheadPct > 40 {
+	for _, r := range results {
+		if r.AreaOverheadPct > 40 {
 			continue
 		}
 		fmt.Printf("  %-20s throughput %5.1f%%  latency %5.1f cy\n",
-			r.Topology, r.Pred.SaturationPct, r.Pred.ZeroLoadLatency)
-		if r.Pred.SaturationPct > bestSat {
-			bestSat, bestName = r.Pred.SaturationPct, r.Topology
+			r.Topology, r.SaturationPct, r.ZeroLoadLatency)
+		if r.SaturationPct > bestSat {
+			bestSat, bestName = r.SaturationPct, r.Topology
 		}
 	}
 	fmt.Printf("\nhighest throughput within budget: %s (%.1f%%)\n", bestName, bestSat)

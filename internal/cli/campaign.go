@@ -8,10 +8,10 @@ import (
 )
 
 // Campaign bundles the CLI-side experiment-campaign plumbing shared
-// by shsweep, shdse, and shpredict: opening the on-disk cache with a
-// corruption warning, hooking the stderr report line, and persisting
-// the cache with hit statistics on exit — on error exits too, so a
-// failed sweep keeps every result it already computed.
+// by shrun, shdse, shpredict, and shserved: opening the on-disk cache
+// with a corruption warning, hooking the stderr report line, and
+// persisting the cache with hit statistics on exit — on error exits
+// too, so a failed sweep keeps every result it already computed.
 type Campaign struct {
 	prog  string
 	cache *exp.Cache

@@ -11,17 +11,10 @@ import (
 	"sparsehamming/internal/topo"
 )
 
-// TopologyNames lists the kinds accepted by BuildTopology: the topo
-// registry's names, in registration order (the paper's Table I order,
-// plus the Ruche network from the related-work comparison).
-func TopologyNames() []string {
-	return topo.Names()
-}
-
-// BuildTopology constructs a topology by kind name. The sr and sc
-// strings hold comma-separated sparse Hamming offsets (ignored by the
-// other kinds, except ruche, which takes its factor from the first
-// value of sr).
+// BuildTopology constructs a topology by kind name (one of
+// topo.Names()) through the topo registry. The sr and sc strings hold
+// comma-separated sparse Hamming offsets (ignored by the other kinds,
+// except ruche, which takes its factor from the first value of sr).
 func BuildTopology(kind string, rows, cols int, sr, sc string) (*topo.Topology, error) {
 	srs, err := ParseInts(sr)
 	if err != nil {
@@ -31,14 +24,7 @@ func BuildTopology(kind string, rows, cols int, sr, sc string) (*topo.Topology, 
 	if err != nil {
 		return nil, fmt.Errorf("-sc: %w", err)
 	}
-	return Build(kind, rows, cols, srs, scs)
-}
-
-// Build constructs a topology by kind name from parsed offset lists —
-// the programmatic counterpart of BuildTopology, dispatching through
-// the topo registry.
-func Build(kind string, rows, cols int, sr, sc []int) (*topo.Topology, error) {
-	return topo.ByName(kind, rows, cols, sr, sc)
+	return topo.ByName(kind, rows, cols, srs, scs)
 }
 
 // ParseInts parses a comma-separated integer list; empty input yields

@@ -2,6 +2,8 @@ package cli
 
 import (
 	"testing"
+
+	"sparsehamming/internal/topo"
 )
 
 func TestParseInts(t *testing.T) {
@@ -40,7 +42,7 @@ func TestParseInts(t *testing.T) {
 }
 
 func TestBuildTopologyAllKinds(t *testing.T) {
-	for _, kind := range TopologyNames() {
+	for _, kind := range topo.Names() {
 		rows, cols := 8, 8
 		if kind == "slimnoc" {
 			cols = 16

@@ -10,8 +10,8 @@ import (
 
 // DumpMetrics writes a one-shot Prometheus text exposition of the
 // simulator, runner, and cache series to w — the local-CLI
-// counterpart of shserved's GET /metrics, behind the shrun/shsweep
-// -metrics flag. The cache series come from runner.Cache as attached
+// counterpart of shserved's GET /metrics, behind the shrun -metrics
+// flag. The cache series come from runner.Cache as attached
 // at call time, so call it after StartCampaign.
 func DumpMetrics(w io.Writer, runner *exp.Runner) error {
 	m := obs.NewRegistry()

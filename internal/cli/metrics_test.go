@@ -8,7 +8,7 @@ import (
 	"sparsehamming/internal/noc"
 )
 
-// TestDumpMetricsStable pins the shrun/shsweep -metrics contract: the
+// TestDumpMetricsStable pins the shrun -metrics contract: the
 // dump covers the simulator, runner, and cache series, and two dumps
 // with no work between them are byte-identical (deterministic series
 // ordering, scrape-time sampling).

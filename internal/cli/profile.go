@@ -1,6 +1,6 @@
 package cli
 
-// Profiling support for the campaign CLIs: shrun and shsweep expose
+// Profiling support for the campaign CLIs: shrun exposes
 // -cpuprofile/-memprofile flags that bracket campaign execution with
 // pprof collection, so a slow campaign can be profiled without
 // rebuilding anything (go tool pprof <binary> <file>).

@@ -21,7 +21,7 @@ const cacheVersion = 2
 // Cache memoizes job results under their content keys. It is safe
 // for concurrent use. A cache is in-memory by default; OpenCache
 // attaches a JSON file so results persist across process invocations
-// (repeated shsweep/shdse runs skip already-computed points).
+// (repeated shrun/shdse runs skip already-computed points).
 type Cache struct {
 	mu      sync.Mutex
 	path    string

@@ -38,24 +38,6 @@ func FormatTableIII(rows []TableIIIRow) string {
 	return b.String()
 }
 
-// FormatFigure6 renders one scenario panel of Figure 6 as a table
-// (the paper plots these as scatter charts; the numbers are the same).
-func FormatFigure6(rows []Figure6Row) string {
-	var b strings.Builder
-	fmt.Fprintln(&b, "| Topology | Params | Area Overhead [%] | NoC Power [W] | Zero-Load Latency [cy] | Saturation Throughput [%] |")
-	fmt.Fprintln(&b, "|---|---|---|---|---|---|")
-	for _, r := range rows {
-		if !r.Applicable {
-			fmt.Fprintf(&b, "| %s |  | n/a | n/a | n/a | n/a |\n", r.Topology)
-			continue
-		}
-		p := r.Pred
-		fmt.Fprintf(&b, "| %s | %s | %.1f | %.2f | %.1f | %s |\n",
-			r.Topology, r.Params, p.AreaOverheadPct, p.NoCPowerW, p.ZeroLoadLatency, satCell(p))
-	}
-	return b.String()
-}
-
 // satCell renders a prediction's saturation throughput, marking
 // searches that bottomed out ("<x": the true rate lies below the
 // bisection resolution x) instead of printing a hard zero.
@@ -101,22 +83,6 @@ func FormatPrediction(p *Prediction) string {
 			fmt.Fprintf(&b, "adaptive control:      %d probes, %.2fM simulated cycles saved\n",
 				p.Probes, float64(p.CyclesSaved)/1e6)
 		}
-	}
-	return b.String()
-}
-
-// CSVFigure6 renders Figure 6 rows as CSV for plotting.
-func CSVFigure6(rows []Figure6Row) string {
-	var b strings.Builder
-	fmt.Fprintln(&b, "scenario,topology,params,area_overhead_pct,noc_power_w,zero_load_latency_cycles,saturation_pct")
-	for _, r := range rows {
-		if !r.Applicable {
-			fmt.Fprintf(&b, "%s,%s,,,,,\n", r.Scenario, r.Topology)
-			continue
-		}
-		p := r.Pred
-		fmt.Fprintf(&b, "%s,%s,%q,%.2f,%.3f,%.2f,%.2f\n",
-			r.Scenario, r.Topology, r.Params, p.AreaOverheadPct, p.NoCPowerW, p.ZeroLoadLatency, p.SaturationPct)
 	}
 	return b.String()
 }

@@ -1,9 +1,9 @@
 package noc
 
 // Panel statistics: attribution of campaign effort (compute time,
-// cache hits, simulated work) to named job groups — the Figure 6
-// scenario panels, or the sweeps of a declarative campaign spec run
-// by cmd/shrun.
+// cache hits, simulated work) to named job groups: the sweeps of a
+// declarative campaign spec run by cmd/shrun (in the Figure 6 specs,
+// one sweep per scenario panel).
 
 import (
 	"fmt"
@@ -12,14 +12,14 @@ import (
 	"sparsehamming/internal/exp"
 )
 
-// PanelStats aggregates the campaign effort behind one panel (a
-// Figure 6 scenario, a spec sweep): how much simulation work it took
-// and how long the workers computed. Cached jobs contribute their
+// PanelStats aggregates the campaign effort behind one panel (a spec
+// sweep, such as one Figure 6 scenario): how much simulation work it
+// took and how long the workers computed. Cached jobs contribute their
 // simulated work figures (the result records them) but no compute
 // time.
 type PanelStats struct {
-	// Label names the panel: the scenario ID for Figure 6, the sweep
-	// label for spec campaigns.
+	// Label names the panel: the sweep label (the scenario ID in the
+	// Figure 6 specs).
 	Label string
 	// Jobs and CacheHits count the panel's campaign jobs and how many
 	// of them were answered from the result cache.

@@ -8,7 +8,7 @@
 // runner counts batches, job outcomes, and worker busy-time; the
 // campaign service instruments every HTTP route. The registry samples
 // all of them at scrape time — GET /metrics on cmd/shserved, or the
-// -metrics dump of cmd/shrun and cmd/shsweep — in the Prometheus text
+// -metrics dump of cmd/shrun — in the Prometheus text
 // exposition format, without importing any external client library.
 //
 // Tracing answers "where did this job's 9.5 seconds go": evaluators

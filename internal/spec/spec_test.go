@@ -88,6 +88,45 @@ func TestValidateAndExpandDeterministic(t *testing.T) {
 	}
 }
 
+// TestSweepAxesYieldToTopologyPin pins the rule an ablation of a
+// preset relies on: a sweep-level routings or patterns entry reaches
+// every topology without a routing of its own, and a topology's own
+// routing wins over the sweep's routings (the pattern still applies).
+func TestSweepAxesYieldToTopologyPin(t *testing.T) {
+	s := &Spec{
+		Name: "ablation",
+		Sweeps: []Sweep{{
+			Arch: ArchSpec{Scenario: "a", Rows: 4, Cols: 4},
+			Topologies: []TopologySpec{
+				{Kind: "mesh"},
+				{Kind: "hypercube", Routing: "e-cube"},
+				{Kind: "torus"},
+			},
+			Routings: []string{"hop-minimal"},
+			Patterns: []string{"transpose"},
+		}},
+	}
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	jobs, err := s.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{"mesh": "hop-minimal", "hypercube": "e-cube", "torus": "hop-minimal"}
+	if len(jobs) != len(want) {
+		t.Fatalf("%d jobs, want %d", len(jobs), len(want))
+	}
+	for _, j := range jobs {
+		if j.Routing != want[j.Topo] {
+			t.Errorf("%s routing %q, want %q", j.Topo, j.Routing, want[j.Topo])
+		}
+		if j.Pattern != "transpose" {
+			t.Errorf("%s pattern %q, want the sweep's transpose", j.Topo, j.Pattern)
+		}
+	}
+}
+
 func TestValidateRejects(t *testing.T) {
 	base := func() *Spec {
 		return &Spec{
